@@ -11,10 +11,7 @@ from .interactions import ChannelScheme, ResGnConv, build_scheme
 from .blocks import (
     C3, C3dr, Cbam, ConvBnSilu, DrsiBlock, Focus, InvertedBottleneck, Spp,
 )
-from .network import (
-    FeaturePyramid, Model, ModelConfig, backbone_forward, build_model,
-    count_trainable, head_forward, neck_forward,
-)
+from .network import FeaturePyramid, Model, ModelConfig, build_model
 from .decode import (
     Detection, GroundTruthInstance, KeypointSigmas, encode, evaluate, nms, oks,
 )
@@ -29,8 +26,7 @@ __all__ = [
     "ChannelScheme", "ResGnConv", "build_scheme",
     "C3", "C3dr", "Cbam", "ConvBnSilu", "DrsiBlock", "Focus",
     "InvertedBottleneck", "Spp",
-    "FeaturePyramid", "Model", "ModelConfig", "backbone_forward",
-    "build_model", "count_trainable", "head_forward", "neck_forward",
+    "FeaturePyramid", "Model", "ModelConfig", "build_model",
     "Detection", "GroundTruthInstance", "KeypointSigmas", "encode",
     "evaluate", "nms", "oks",
     "ProfileReport", "load_weights", "profile", "save_weights", "trace",

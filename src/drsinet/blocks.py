@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from . import tensor as T
 from .interactions import ResGnConv
-from .layers import (
-    BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, LayerList, LayerNorm2d, _numel,
-)
+from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, LayerList, LayerNorm2d
 from .tensor import DomainError, ShapeError
 
 
@@ -21,12 +19,6 @@ class ConvBnSilu(Layer):
     def forward(self, x):
         return T.silu(self.bn(self.conv(x)))
 
-    def profile(self, shape, name, rows):
-        shape = self.conv.profile(shape, f"{name}.conv", rows)
-        shape = self.bn.profile(shape, f"{name}.bn", rows)
-        rows.add(f"{name}.silu", shape, 0, _numel(shape))
-        return shape
-
 
 class Focus(Layer):
     """Stem: 2x2 space-to-depth (c -> 4c, h/2, w/2) then ConvBnSilu."""
@@ -37,12 +29,6 @@ class Focus(Layer):
 
     def forward(self, x):
         return self.conv(T.space_to_depth_2x2(x))
-
-    def profile(self, shape, name, rows):
-        n, c, h, w = shape
-        if h % 2 or w % 2:
-            raise ShapeError(f"{name}: spatial dims must be even, got {h}x{w}")
-        return self.conv.profile((n, 4 * c, h // 2, w // 2), f"{name}.conv", rows)
 
 
 class Spp(Layer):
@@ -60,12 +46,6 @@ class Spp(Layer):
         pools = [T.max_pool(x, k, stride=1, padding=k // 2) for k in self.kernels]
         return self.cv2(T.concat_channels([x] + pools))
 
-    def profile(self, shape, name, rows):
-        shape = self.cv1.profile(shape, f"{name}.cv1", rows)
-        n, c, h, w = shape
-        return self.cv2.profile((n, c * (len(self.kernels) + 1), h, w),
-                                f"{name}.cv2", rows)
-
 
 class Bottleneck(Layer):
     """Residual bottleneck: 1x1 then 3x3 ConvBnSilu with a skip."""
@@ -79,13 +59,6 @@ class Bottleneck(Layer):
     def forward(self, x):
         y = self.cv2(self.cv1(x))
         return T.add(x, y) if self.shortcut else y
-
-    def profile(self, shape, name, rows):
-        self.cv1.profile(shape, f"{name}.cv1", rows)
-        self.cv2.profile(shape, f"{name}.cv2", rows)
-        if self.shortcut:
-            rows.add(f"{name}.add", shape, 0, _numel(shape))
-        return shape
 
 
 class C3(Layer):
@@ -107,14 +80,6 @@ class C3(Layer):
             a = blk(a)
         b = self.cv2(x)
         return self.cv3(T.concat_channels([a, b]))
-
-    def profile(self, shape, name, rows):
-        inner = self.cv1.profile(shape, f"{name}.cv1", rows)
-        for i, blk in enumerate(self.blocks):
-            inner = blk.profile(inner, f"{name}.blocks.{i}", rows)
-        self.cv2.profile(shape, f"{name}.cv2", rows)
-        n, c, h, w = inner
-        return self.cv3.profile((n, 2 * c, h, w), f"{name}.cv3", rows)
 
 
 class InvertedBottleneck(Layer):
@@ -143,18 +108,6 @@ class InvertedBottleneck(Layer):
         y = self.c2(T.gelu(self.bn3(y)))
         return T.add(x, y)
 
-    def profile(self, shape, name, rows):
-        self.bn1.profile(shape, f"{name}.bn1", rows)
-        wide = self.c1.profile(shape, f"{name}.c1", rows)
-        self.bn2.profile(wide, f"{name}.bn2", rows)
-        rows.add(f"{name}.gelu1", wide, 0, _numel(wide))
-        wide = self.dw.profile(wide, f"{name}.dw", rows)
-        self.bn3.profile(wide, f"{name}.bn3", rows)
-        rows.add(f"{name}.gelu2", wide, 0, _numel(wide))
-        self.c2.profile(wide, f"{name}.c2", rows)
-        rows.add(f"{name}.add", shape, 0, _numel(shape))
-        return shape
-
 
 class DrsiBlock(Layer):
     """Inverted bottleneck followed by layer-normalized gated interactions,
@@ -169,13 +122,6 @@ class DrsiBlock(Layer):
     def forward(self, x):
         inner = self.invbn(x)
         return T.add(inner, self.rgc(self.ln(inner)))
-
-    def profile(self, shape, name, rows):
-        shape = self.invbn.profile(shape, f"{name}.invbn", rows)
-        self.ln.profile(shape, f"{name}.ln", rows)
-        self.rgc.profile(shape, f"{name}.rgc", rows)
-        rows.add(f"{name}.add", shape, 0, _numel(shape))
-        return shape
 
 
 class C3dr(Layer):
@@ -203,14 +149,6 @@ class C3dr(Layer):
             cross = blk(cross)
         main = self.conv_main(x)
         return self.conv_final(T.concat_channels([main, cross]))
-
-    def profile(self, shape, name, rows):
-        inner = self.conv_cross.profile(shape, f"{name}.conv_cross", rows)
-        for i, blk in enumerate(self.blocks):
-            inner = blk.profile(inner, f"{name}.blocks.{i}", rows)
-        self.conv_main.profile(shape, f"{name}.conv_main", rows)
-        n, c, h, w = inner
-        return self.conv_final.profile((n, 2 * c, h, w), f"{name}.conv_final", rows)
 
 
 class Cbam(Layer):
@@ -245,20 +183,3 @@ class Cbam(Layer):
         sam = T.sigmoid(self.sam_conv(maps))
         return T.broadcast_mul(y, sam)
 
-    def profile(self, shape, name, rows):
-        n, c, h, w = shape
-        pooled = (n, c, 1, 1)
-        glue = _numel(shape)                    # average pool reads the input
-        hid = self.fc1.profile(pooled, f"{name}.fc1", rows)
-        rows.add(f"{name}.relu", hid, 0, _numel(hid))
-        self.fc2.profile(hid, f"{name}.fc2", rows)
-        # the shared MLP runs a second time over the max-pooled descriptor
-        glue += c * hid[1] + _numel(hid) + hid[1] * c
-        glue += 2 * _numel(pooled)              # descriptor add + sigmoid
-        glue += _numel(shape)                   # channel gate multiply
-        glue += _numel(shape)                   # channel-mean map reads y
-        self.sam_conv.profile((n, 2, h, w), f"{name}.sam_conv", rows)
-        glue += _numel((n, 1, h, w))            # spatial sigmoid
-        glue += _numel(shape)                   # spatial gate multiply
-        rows.add(f"{name}.ops", shape, 0, glue)
-        return shape

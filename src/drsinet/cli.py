@@ -104,6 +104,8 @@ def _cmd_forward(args):
         raise ConfigError(f"bad --shape {args.shape!r}; expected N,C,H,W")
     if len(dims) != 4:
         raise ConfigError(f"--shape needs four dims, got {args.shape!r}")
+    if dims[0] != 1:
+        raise ConfigError(f"forward takes one image: --shape batch must be 1, got {dims[0]}")
     raw = np.fromfile(args.image, dtype="<f4")
     expected = int(np.prod(dims))
     if raw.size != expected:

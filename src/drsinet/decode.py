@@ -74,6 +74,8 @@ class GroundTruthInstance:
         self.keypoints = np.asarray(self.keypoints, dtype=np.float64)
         if self.keypoints.ndim != 2 or self.keypoints.shape[1] != 3:
             raise ShapeError("keypoints must be (K, 3)")
+        if not self.area > 0:       # also rejects NaN; OKS divides by the area
+            raise DomainError(f"ground-truth area must be > 0, got {self.area}")
 
     @property
     def visible(self):

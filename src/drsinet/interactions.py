@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, LayerList, _numel
+from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, LayerList
 from .tensor import DomainError, ShapeError
 
 DW_KERNEL = 7  # depthwise spatial-mixing kernel, fixed for this operator family
@@ -62,12 +62,6 @@ class _OrderProjection(Layer):
 
     def forward(self, x):
         return T.silu(self.bn(self.conv(x)))
-
-    def profile(self, shape, name, rows):
-        shape = self.conv.profile(shape, f"{name}.conv", rows)
-        shape = self.bn.profile(shape, f"{name}.bn", rows)
-        rows.add(f"{name}.silu", shape, 0, _numel(shape))
-        return shape
 
 
 class ResGnConv(Layer):
@@ -120,43 +114,3 @@ class ResGnConv(Layer):
                 trace["s"].append(s)
                 trace["p"].append(p)
         return self.phi_out(p), trace
-
-    def profile(self, shape, name, rows):
-        sch = self.scheme
-        n_, c, h, w = shape
-        if c != sch.c:
-            raise ShapeError(f"{name}: expected {sch.c} channels, got {c}")
-        self.phi_in.profile(shape, f"{name}.phi_in", rows)
-        self.dw.profile((n_, sch.c_q, h, w), f"{name}.dw", rows)
-        glue = 0
-        for k in range(sch.n):
-            step = (n_, sch.c_k[k], h, w)
-            if k > 0:
-                self.g_k[k - 1].profile((n_, sch.c_k[k - 1], h, w),
-                                        f"{name}.g_k.{k - 1}", rows)
-            glue += _numel(step)                       # interaction multiply
-            if self.residual_enabled:
-                glue += 3 * _numel(step)               # two adds and the 1/lambda scale
-        rows.add(f"{name}.ops", shape, 0, glue)
-        return self.phi_out.profile(shape, f"{name}.phi_out", rows)
-
-
-def gconv_forward(layer, x):
-    """One-order gated convolution: requires n=1 and residuals disabled."""
-    if layer.scheme.n != 1 or layer.residual_enabled:
-        raise DomainError("gconv_forward requires an order-1 layer without residuals")
-    return layer.forward(x)
-
-
-def gn_conv_forward(layer, x):
-    """Plain recursive gated convolution: requires residuals disabled."""
-    if layer.residual_enabled:
-        raise DomainError("gn_conv_forward requires residuals disabled")
-    return layer.forward(x)
-
-
-def res_gn_conv_forward(layer, x):
-    """Residual recursive gated convolution: requires residuals enabled."""
-    if not layer.residual_enabled:
-        raise DomainError("res_gn_conv_forward requires residuals enabled")
-    return layer.forward(x)

@@ -10,7 +10,7 @@ builds with the same seed are bit-identical regardless of construction order.
 from __future__ import annotations
 
 from . import tensor as T
-from .tensor import Parameter, ShapeError
+from .tensor import Parameter
 
 
 def _join(prefix, name):
@@ -18,7 +18,12 @@ def _join(prefix, name):
 
 
 class Layer:
-    """Base class for parameterized layers."""
+    """Base class for parameterized layers.
+
+    Calling a layer runs :meth:`forward`.  While a ``tensor.mac_counter`` is
+    active, the call also opens a counter scope named by the layer's dotted
+    path and records the shape it returns.
+    """
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -31,12 +36,17 @@ class Layer:
             self._children[name] = value
         object.__setattr__(self, name, value)
 
+    def named_layers(self, prefix=""):
+        """This layer and all descendants by dotted path, in construction order."""
+        yield prefix, self
+        for name, child in self._children.items():
+            yield from child.named_layers(_join(prefix, name))
+
     def named_parameters(self, prefix=""):
         """All parameters (trainable and buffers) in construction order."""
-        for name, p in self._params.items():
-            yield _join(prefix, name), p
-        for name, child in self._children.items():
-            yield from child.named_parameters(_join(prefix, name))
+        for path, layer in self.named_layers(prefix):
+            for name, p in layer._params.items():
+                yield _join(path, name), p
 
     def finalize(self, seed, prefix=""):
         """Materialize every parameter from the (seed, name)-keyed stream."""
@@ -55,11 +65,27 @@ class Layer:
         raise NotImplementedError
 
     def __call__(self, x):
-        return self.forward(x)
+        counter = T._MAC_COUNTER
+        if counter is None:
+            return self.forward(x)
+        if not counter.scopes:
+            # a top-level call names its subtree the way named_parameters does
+            counter.layer_names = {id(layer): name for name, layer in self.named_layers()}
+        name = counter.layer_names.get(id(self), type(self).__name__)
+        counter.scopes.append(name)
+        try:
+            out = self.forward(x)
+        finally:
+            counter.scopes.pop()
+        counter.outputs.setdefault(name, _output_shape(out))
+        return out
 
-    def profile(self, shape, name, rows):
-        """Mirror of forward on shapes only; appends report rows, returns out shape."""
-        raise NotImplementedError
+
+def _output_shape(out):
+    """Shape of a layer output; a list or pyramid of tensors gives one per level."""
+    if isinstance(out, T.Tensor):
+        return out.shape
+    return tuple(t.shape for t in getattr(out, "levels", out))
 
 
 class LayerList:
@@ -83,20 +109,9 @@ class LayerList:
     def append(self, layer):
         self._layers.append(layer)
 
-    def named_parameters(self, prefix=""):
+    def named_layers(self, prefix=""):
         for i, layer in enumerate(self._layers):
-            yield from layer.named_parameters(_join(prefix, str(i)))
-
-
-def _numel(shape):
-    n = 1
-    for d in shape:
-        n *= d
-    return n
-
-
-def conv_out_hw(h, w, k, stride, padding):
-    return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+            yield from layer.named_layers(_join(prefix, str(i)))
 
 
 class Conv2d(Layer):
@@ -114,16 +129,6 @@ class Conv2d(Layer):
         b = self.bias.value if self.bias is not None else None
         return T.conv2d(x, self.weight.value, b, self.stride, self.padding)
 
-    def profile(self, shape, name, rows):
-        n, c, h, w = shape
-        if c != self.c_in:
-            raise ShapeError(f"{name}: expected {self.c_in} channels, got {c}")
-        ho, wo = conv_out_hw(h, w, self.k, self.stride, self.padding)
-        out = (n, self.c_out, ho, wo)
-        rows.add(name, out, self.count_trainable(),
-                 n * self.c_out * self.c_in * self.k * self.k * ho * wo)
-        return out
-
 
 class DepthwiseConv2d(Layer):
     """Per-channel convolution layer."""
@@ -140,15 +145,6 @@ class DepthwiseConv2d(Layer):
         b = self.bias.value if self.bias is not None else None
         return T.depthwise_conv2d(x, self.weight.value, b, self.stride, self.padding)
 
-    def profile(self, shape, name, rows):
-        n, c, h, w = shape
-        if c != self.c:
-            raise ShapeError(f"{name}: expected {self.c} channels, got {c}")
-        ho, wo = conv_out_hw(h, w, self.k, self.stride, self.padding)
-        out = (n, c, ho, wo)
-        rows.add(name, out, self.count_trainable(), n * c * self.k * self.k * ho * wo)
-        return out
-
 
 class BatchNorm2d(Layer):
     """Batch normalization layer; always runs with running statistics."""
@@ -164,14 +160,7 @@ class BatchNorm2d(Layer):
     def forward(self, x):
         return T.batch_norm(x, self.gamma.value, self.beta.value,
                             self.running_mean.value, self.running_var.value,
-                            eps=self.eps, mode="eval")
-
-    def profile(self, shape, name, rows):
-        n, c, h, w = shape
-        if c != self.c:
-            raise ShapeError(f"{name}: expected {self.c} channels, got {c}")
-        rows.add(name, shape, self.count_trainable(), n * c * h * w)
-        return shape
+                            eps=self.eps)
 
 
 class LayerNorm2d(Layer):
@@ -185,10 +174,3 @@ class LayerNorm2d(Layer):
 
     def forward(self, x):
         return T.layer_norm(x, self.gamma.value, self.beta.value, eps=self.eps)
-
-    def profile(self, shape, name, rows):
-        n, c, h, w = shape
-        if c != self.c:
-            raise ShapeError(f"{name}: expected {self.c} channels, got {c}")
-        rows.add(name, shape, self.count_trainable(), n * c * h * w)
-        return shape

@@ -192,22 +192,6 @@ class FeaturePyramid:
             if (a.shape[2] != 2 * b.shape[2]) or (a.shape[3] != 2 * b.shape[3]):
                 raise ShapeError("pyramid levels must halve spatially")
 
-    @property
-    def p3(self):
-        return self.levels[0]
-
-    @property
-    def p4(self):
-        return self.levels[1]
-
-    @property
-    def p5(self):
-        return self.levels[2]
-
-    @property
-    def p6(self):
-        return self.levels[3]
-
 
 class _Stage(Layer):
     """Stride-2 entry conv followed by a cross-stage body."""
@@ -225,10 +209,6 @@ class _Stage(Layer):
 
     def forward(self, x):
         return self.body(self.down(x))
-
-    def profile(self, shape, name, rows):
-        shape = self.down.profile(shape, f"{name}.down", rows)
-        return self.body.profile(shape, f"{name}.body", rows)
 
 
 class Backbone(Layer):
@@ -266,23 +246,6 @@ class Backbone(Layer):
         return FeaturePyramid(levels=[feats[1], feats[2], feats[3], p6],
                               strides=(8, 16, 32, 64))
 
-    def profile(self, shape, name, rows):
-        n, c, h, w = shape
-        if h % 64 or w % 64:
-            raise ShapeError(f"input dims must be divisible by 64, got {h}x{w}")
-        shape = self.focus.profile(shape, f"{name}.focus", rows)
-        outs = []
-        for i, stage in enumerate(self.stages):
-            shape = stage.profile(shape, f"{name}.stages.{i}", rows)
-            outs.append(shape)
-        shape = self.down5.profile(outs[-1], f"{name}.down5", rows)
-        shape = self.spp.profile(shape, f"{name}.spp", rows)
-        p6 = self.c3.profile(shape, f"{name}.c3", rows)
-        pyramid = [outs[1], outs[2], outs[3], p6]
-        for level, s in zip(pyramid, (8, 16, 32, 64)):
-            rows.add(f"{name}.P{int(math.log2(s))}", level, 0, 0)
-        return pyramid
-
 
 class _TopDownTransform(Layer):
     """Pre-upsample reduce conv plus the neck-kind-specific module."""
@@ -303,12 +266,6 @@ class _TopDownTransform(Layer):
         y = self.reduce(x)
         return self.attn(y) if self.attn is not None else y
 
-    def profile(self, shape, name, rows):
-        shape = self.reduce.profile(shape, f"{name}.reduce", rows)
-        if self.attn is not None:
-            shape = self.attn.profile(shape, f"{name}.attn", rows)
-        return shape
-
 
 class _BottomUpTransform(Layer):
     """Stride-2 conv plus attention on the bottom-up path."""
@@ -326,12 +283,6 @@ class _BottomUpTransform(Layer):
         y = self.down(x)
         return self.attn(y) if self.attn is not None else y
 
-    def profile(self, shape, name, rows):
-        shape = self.down.profile(shape, f"{name}.down", rows)
-        if self.attn is not None:
-            shape = self.attn.profile(shape, f"{name}.attn", rows)
-        return shape
-
 
 class Neck(Layer):
     """Top-down then bottom-up fusion over an arbitrary number of levels."""
@@ -340,7 +291,6 @@ class Neck(Layer):
         super().__init__()
         if len(channels) < 2:
             raise ConfigError("neck needs at least two pyramid levels")
-        self.kind = cfg.neck
         self.channels = list(channels)
         L = len(channels)
         depth = cfg.fusion_depth()
@@ -373,26 +323,6 @@ class Neck(Layer):
             outs.append(self.bu_fusions[j](merged))
         return outs
 
-    def profile(self, shapes, name, rows):
-        L = len(self.channels)
-        lat_shapes = []
-        cur = shapes[L - 1]
-        for i in range(L - 1):
-            t = self.td_transforms[i].profile(cur, f"{name}.td_transforms.{i}", rows)
-            lat_shapes.append(t)
-            n, c, h, w = t
-            merged = (n, c + shapes[L - 2 - i][1], 2 * h, 2 * w)
-            cur = self.td_fusions[i].profile(merged, f"{name}.td_fusions.{i}", rows)
-        outs = [cur]
-        for j in range(L - 1):
-            d = self.bu_transforms[j].profile(outs[-1], f"{name}.bu_transforms.{j}", rows)
-            n, c, h, w = d
-            merged = (n, c + lat_shapes[L - 2 - j][1], h, w)
-            outs.append(self.bu_fusions[j].profile(merged, f"{name}.bu_fusions.{j}", rows))
-        for shape, s in zip(outs, (8, 16, 32, 64)):
-            rows.add(f"{name}.N{int(math.log2(s))}", shape, 0, 0)
-        return outs
-
 
 class Model(Layer):
     """Complete network; built by :func:`build_model`."""
@@ -411,15 +341,6 @@ class Model(Layer):
         refined = self.neck(fp.levels)
         return [head(level) for head, level in zip(self.heads, refined)]
 
-    def profile(self, shape, name, rows):
-        pyramid = self.backbone.profile(shape, f"{name}.backbone" if name else "backbone", rows)
-        prefix = f"{name}." if name else ""
-        outs = self.neck.profile(pyramid, f"{prefix}neck", rows)
-        head_shapes = []
-        for i, (head, s) in enumerate(zip(self.heads, outs)):
-            head_shapes.append(head.profile(s, f"{prefix}heads.{i}", rows))
-        return head_shapes
-
 
 def build_model(cfg, seed=0):
     """Construct and deterministically initialize a model."""
@@ -427,31 +348,3 @@ def build_model(cfg, seed=0):
     model = Model(cfg)
     model.finalize(seed)
     return model
-
-
-def backbone_forward(model, x):
-    """Feature pyramid at strides 8/16/32/64 for an (n, 3, H, W) input."""
-    return model.backbone(x)
-
-
-def neck_forward(model, fp, kind=None):
-    """Fuse a pyramid; ``kind``, when given, must match the built neck."""
-    if kind is not None and kind != model.neck.kind:
-        raise ConfigError(
-            f"neck was built as {model.neck.kind!r}, cannot run as {kind!r}")
-    levels = fp.levels if isinstance(fp, FeaturePyramid) else list(fp)
-    refined = model.neck(levels)
-    return FeaturePyramid(levels=refined, strides=(8, 16, 32, 64))
-
-
-def head_forward(model, fp):
-    """Raw per-level head logits (no activation)."""
-    levels = fp.levels if isinstance(fp, FeaturePyramid) else list(fp)
-    if len(levels) != len(model.heads):
-        raise ShapeError(f"expected {len(model.heads)} levels, got {len(levels)}")
-    return [head(level) for head, level in zip(model.heads, levels)]
-
-
-def count_trainable(model):
-    """Total number of trainable parameter elements."""
-    return model.count_trainable()

@@ -1,6 +1,12 @@
-"""Analytic complexity profiling, shape tracing and weight serialization.
+"""Complexity profiling, shape tracing and weight serialization.
 
-MAC accounting convention (one multiply-accumulate per weight application):
+``profile`` builds the model without its seeded init, gives every parameter a
+zero array (allocated lazily, so even the largest variant costs little
+memory) and runs the real forward on an empty ``(0, 3, size, size)`` batch
+under ``tensor.mac_counter``.  The batch has no elements, so no arithmetic
+runs, but every layer is called and every primitive checks and produces its
+real output shape.  The counter charges MACs per image by this convention
+(one multiply-accumulate per weight application):
 
 * convolution          c_out * c_in * k^2 * H_out * W_out   (bias excluded)
 * depthwise conv       c * k^2 * H_out * W_out
@@ -9,23 +15,30 @@ MAC accounting convention (one multiply-accumulate per weight application):
 * max pools, concat/split, upsampling and space-to-depth: zero (comparisons
   and data movement)
 
-The instrumented forward (``tensor.mac_counter``) applies the same convention
-from its runtime buffer shapes, giving an independent cross-check of the
-shape arithmetic here.
+There is one row per layer that owns parameters or runs a counted operation
+itself, named by its dotted path; a composite layer's row carries the glue
+operations (activations, residual adds, gates) it runs outside its children.
+The feature pyramid the backbone returns and the refined levels the neck
+returns add zero-cost ``backbone.P3``..``P6`` and ``neck.N3``..``N6`` rows.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .network import Model, ModelConfig
 from .tensor import DomainError
 
 ARCHIVE_MAGIC = b"DRSI"
 ARCHIVE_VERSION = 1
+
+# layers whose output is a pyramid, and the prefix of their per-level rows
+_PYRAMID_ROWS = {"backbone": "P", "neck": "N"}
 
 
 class ArchiveError(ValueError):
@@ -40,23 +53,6 @@ class ProfileRow:
     macs: int
 
 
-class ProfileRows:
-    """Accumulator the layer tree appends per-layer rows into."""
-
-    def __init__(self):
-        self._rows = []
-
-    def add(self, name, shape, params, macs):
-        self._rows.append(ProfileRow(name, tuple(int(d) for d in shape),
-                                     int(params), int(macs)))
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self):
-        return len(self._rows)
-
-
 @dataclass
 class ProfileReport:
     rows: list
@@ -69,22 +65,44 @@ class ProfileReport:
         return self.total_macs / 1e9
 
 
+def _zeros(shape):
+    # read-only, so Parameter.set keeps it without a copy and the pages are
+    # only mapped if something reads them
+    arr = np.zeros(shape, dtype=np.float32)
+    arr.flags.writeable = False
+    return arr
+
+
 def profile(cfg: ModelConfig, input_size: int) -> ProfileReport:
-    """Analytic per-layer parameter and MAC counts for a square input."""
-    if input_size % 64:
-        raise DomainError(f"input size must be divisible by 64, got {input_size}")
+    """Per-layer parameter and per-image MAC counts for a square input."""
+    if input_size <= 0 or input_size % 64:
+        raise DomainError(f"input size must be a positive multiple of 64, got {input_size}")
     model = Model(cfg)
-    rows = ProfileRows()
-    model.profile((1, 3, input_size, input_size), "", rows)
-    row_list = list(rows)
-    return ProfileReport(rows=row_list,
-                         total_params=sum(r.params for r in row_list),
-                         total_macs=sum(r.macs for r in row_list),
+    params = {}
+    for name, p in model.named_parameters():
+        p.set(_zeros(p.storage_shape))
+        if p.trainable:
+            owner = name.rpartition(".")[0]
+            params[owner] = params.get(owner, 0) + p.count()
+    with T.mac_counter() as counter:
+        model(T.zeros((0, 3, input_size, input_size)))
+    rows = []
+    for name, shape in counter.outputs.items():
+        if name in _PYRAMID_ROWS:
+            rows.extend(ProfileRow(f"{name}.{_PYRAMID_ROWS[name]}{level}",
+                                   (1,) + level_shape[1:], 0, 0)
+                        for level, level_shape in enumerate(shape, start=3))
+        elif name in params or name in counter.scope_macs:
+            rows.append(ProfileRow(name, (1,) + shape[1:], params.get(name, 0),
+                                   counter.scope_macs.get(name, 0)))
+    return ProfileReport(rows=rows,
+                         total_params=sum(r.params for r in rows),
+                         total_macs=sum(r.macs for r in rows),
                          input_size=input_size)
 
 
 def trace(cfg: ModelConfig, input_size: int):
-    """Ordered (name, output shape) listing for every layer."""
+    """Ordered (name, output shape) listing for every profiled layer."""
     return [(r.name, r.shape) for r in profile(cfg, input_size).rows]
 
 
@@ -97,26 +115,15 @@ def report_csv(report: ProfileReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_json(report: ProfileReport) -> dict:
-    return {
-        "input_size": report.input_size,
-        "rows": [{"name": r.name, "shape": list(r.shape),
-                  "params": r.params, "macs": r.macs} for r in report.rows],
-        "totals": {"params": report.total_params, "macs": report.total_macs,
-                   "gmacs": report.gmacs},
-    }
-
-
 def report_jsonl(report: ProfileReport) -> str:
     """Line-delimited structured report: one object per row, totals last."""
-    import json as _json
-    lines = [_json.dumps({"name": r.name, "shape": list(r.shape),
-                          "params": r.params, "macs": r.macs})
+    lines = [json.dumps({"name": r.name, "shape": list(r.shape),
+                         "params": r.params, "macs": r.macs})
              for r in report.rows]
-    lines.append(_json.dumps({"totals": {"params": report.total_params,
-                                         "macs": report.total_macs,
-                                         "gmacs": report.gmacs},
-                              "input_size": report.input_size}))
+    lines.append(json.dumps({"totals": {"params": report.total_params,
+                                        "macs": report.total_macs,
+                                        "gmacs": report.gmacs},
+                             "input_size": report.input_size}))
     return "\n".join(lines) + "\n"
 
 

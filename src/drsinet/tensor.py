@@ -15,6 +15,9 @@ Conventions, fixed once for the whole stack:
 
 from __future__ import annotations
 
+import math
+import weakref
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
@@ -70,7 +73,7 @@ class Tensor:
                 arr = arr.copy()
             arr.flags.writeable = False
         self.data = arr
-        self._param = None  # back-reference set by Parameter
+        self._param = None  # weak back-reference set by Parameter
 
     @property
     def shape(self):
@@ -155,9 +158,7 @@ class Parameter:
         if arr.shape != self.storage_shape:
             raise ShapeError(
                 f"parameter {self.name!r} expects {self.logical_shape}, got {arr.shape}")
-        t = Tensor(arr)
-        t._param = self
-        self._value = t
+        self._assign(Tensor(arr))
 
     def materialize(self, seed, name):
         self.name = name
@@ -174,8 +175,11 @@ class Parameter:
             arr = ((2.0 * u - 1.0) * bound).astype(np.float32)
         else:
             raise ValueError(f"unknown init kind {kind!r}")
-        t = Tensor(arr, copy=False)
-        t._param = self
+        self._assign(Tensor(arr, copy=False))
+
+    def _assign(self, t):
+        # weak, so a dropped layer tree is freed by reference counting alone
+        t._param = weakref.ref(self)
         self._value = t
 
     def count(self):
@@ -295,9 +299,10 @@ class Tape:
             if g is None:
                 g = np.zeros(leaf.shape, dtype=leaf.dtype)
             self._grads[key] = g
-            if leaf._param is not None:
-                leaf._param.grad = Tensor(np.asarray(g, dtype=np.float32)
-                                          if leaf.dtype == np.float32 else g)
+            param = leaf._param() if leaf._param is not None else None
+            if param is not None:
+                param.grad = Tensor(np.asarray(g, dtype=np.float32)
+                                    if leaf.dtype == np.float32 else g)
 
     def grad_for(self, x):
         """Gradient of the traced reduction w.r.t. leaf tensor ``x``."""
@@ -314,15 +319,23 @@ def _tape():
 
 
 class mac_counter:
-    """Context manager counting multiply-accumulates of executed primitives.
+    """Context manager counting the multiply-accumulates of executed primitives.
 
-    The count is derived from the runtime buffer shapes each operation
-    actually produced, so it serves as an instrumented cross-check of the
-    analytic profiler (same accounting convention, independent shape source).
+    Counts are per image: each operation charges the MACs of one image of the
+    shape it actually produced, by the README convention, so a batch-0
+    forward counts what one image costs without computing anything.  Every
+    layer called inside the context opens a scope named by its dotted path
+    (the path ``named_parameters`` uses).  A charge adds to ``macs`` and to
+    the innermost open scope in ``scope_macs``; ``outputs`` keeps each
+    layer's first output shape, in the order the layers first return.
     """
 
     def __init__(self):
         self.macs = 0
+        self.scope_macs = {}    # dotted layer name -> MACs of ops run directly in it
+        self.outputs = {}       # dotted layer name -> output shape(s), by first return
+        self.scopes = []        # names of the layers being called, innermost last
+        self.layer_names = {}   # id(layer) -> dotted name under the top-level call
 
     def __enter__(self):
         global _MAC_COUNTER
@@ -336,10 +349,17 @@ class mac_counter:
         _MAC_COUNTER = None
         return False
 
+    def _charge(self, macs):
+        self.macs += macs
+        if self.scopes:
+            scope = self.scopes[-1]
+            self.scope_macs[scope] = self.scope_macs.get(scope, 0) + macs
 
-def _count_macs(n):
+
+def _count_macs(shape, per_element=1):
+    """Charge ``per_element`` MACs per element of one image of ``shape``."""
     if _MAC_COUNTER is not None:
-        _MAC_COUNTER.macs += int(n)
+        _MAC_COUNTER._charge(math.prod(shape[1:]) * per_element)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +427,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     out = (cols @ w2.T).transpose(0, 2, 1).reshape(n, co, ho, wo)
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1)
-    _count_macs(co * ci * k * k * ho * wo * n)
+    _count_macs(out.shape, ci * k * k)
     y = Tensor(out, copy=False)
     t = _tape()
     if t is not None:
@@ -443,7 +463,7 @@ def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
     out = np.einsum("nchwuv,cuv->nchw", win, w3)
     if bias is not None:
         out = out + bias.data.reshape(1, c, 1, 1)
-    _count_macs(c * k * k * ho * wo * n)
+    _count_macs(out.shape, k * k)
     y = Tensor(out, copy=False)
     t = _tape()
     if t is not None:
@@ -474,68 +494,39 @@ def _vec(v, c, name):
     return flat
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
-               mode="eval", momentum=0.03):
-    """Channel-wise batch normalization.
-
-    ``eval`` normalizes with the running statistics; ``train`` uses per-batch
-    statistics over (n, h, w) and updates ``running_mean``/``running_var`` in
-    place with the given momentum.  Training mode is not differentiable in
-    this stack (the gradient suite always runs eval mode).
-    """
+def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    """Channel-wise batch normalization with the running statistics."""
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     n, c, h, w = x.shape
     ga = _vec(gamma, c, "gamma")
     be = _vec(beta, c, "beta")
-    if mode == "eval":
-        rm = _vec(running_mean, c, "running_mean")
-        rv = _vec(running_var, c, "running_var")
-        inv = 1.0 / np.sqrt(rv + eps)
-        xhat = (x.data - rm.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-        out = xhat * ga.reshape(1, c, 1, 1) + be.reshape(1, c, 1, 1)
-        _count_macs(out.size)
-        y = Tensor(out, copy=False)
-        t = _tape()
-        if t is not None:
-            parents = [x]
+    rm = _vec(running_mean, c, "running_mean")
+    rv = _vec(running_var, c, "running_var")
+    inv = 1.0 / np.sqrt(rv + eps)
+    xhat = (x.data - rm.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+    out = xhat * ga.reshape(1, c, 1, 1) + be.reshape(1, c, 1, 1)
+    _count_macs(out.shape)
+    y = Tensor(out, copy=False)
+    t = _tape()
+    if t is not None:
+        parents = [x]
+        if isinstance(gamma, Tensor):
+            parents.append(gamma)
+        if isinstance(beta, Tensor):
+            parents.append(beta)
+        scale_ = (ga * inv).reshape(1, c, 1, 1)
+
+        def backward(g):
+            grads = [g * scale_]
             if isinstance(gamma, Tensor):
-                parents.append(gamma)
+                grads.append((g * xhat).sum(axis=(0, 2, 3)).reshape(gamma.shape))
             if isinstance(beta, Tensor):
-                parents.append(beta)
-            scale_ = (ga * inv).reshape(1, c, 1, 1)
+                grads.append(g.sum(axis=(0, 2, 3)).reshape(beta.shape))
+            return grads
 
-            def backward(g):
-                grads = [g * scale_]
-                if isinstance(gamma, Tensor):
-                    grads.append((g * xhat).sum(axis=(0, 2, 3)).reshape(gamma.shape))
-                if isinstance(beta, Tensor):
-                    grads.append(g.sum(axis=(0, 2, 3)).reshape(beta.shape))
-                return grads
-
-            t._record(y, parents, backward)
-        return y
-    if mode == "train":
-        if _tape() is not None:
-            raise TapeError("training-mode batch_norm is not differentiable here")
-        rm = np.asarray(running_mean).reshape(-1)
-        rv = np.asarray(running_var).reshape(-1)
-        if rm.shape[0] != c or rv.shape[0] != c:
-            raise ShapeError("running statistics must have length c")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        cnt = n * h * w
-        var_unbiased = var * (cnt / (cnt - 1)) if cnt > 1 else var
-        rm *= (1.0 - momentum)
-        rm += momentum * mean
-        rv *= (1.0 - momentum)
-        rv += momentum * var_unbiased
-        inv = 1.0 / np.sqrt(var + eps)
-        out = ((x.data - mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-               * ga.reshape(1, c, 1, 1) + be.reshape(1, c, 1, 1))
-        _count_macs(out.size)
-        return Tensor(out, copy=False)
-    raise DomainError(f"mode must be 'train' or 'eval', got {mode!r}")
+        t._record(y, parents, backward)
+    return y
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -550,7 +541,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv
     out = xhat * ga + be
-    _count_macs(out.size)
+    _count_macs(out.shape)
     y = Tensor(out, copy=False)
     t = _tape()
     if t is not None:
@@ -599,7 +590,7 @@ def activation(x, kind):
         deriv = lambda: (v > 0).astype(v.dtype)
     else:
         raise DomainError(f"unknown activation {kind!r}")
-    _count_macs(out.size)
+    _count_macs(out.shape)
     y = Tensor(out, copy=False)
     t = _tape()
     if t is not None:
@@ -639,7 +630,7 @@ def elementwise(x, y, op):
         bw = lambda g: [g * y.data, g * x.data]
     else:
         raise DomainError(f"op must be 'mul' or 'add', got {op!r}")
-    _count_macs(out.size)
+    _count_macs(out.shape)
     t = _tape()
     if t is not None:
         t._record(out, [x, y], bw)
@@ -660,7 +651,7 @@ def broadcast_mul(x, a):
         if da != dx and da != 1:
             raise ShapeError(f"cannot broadcast {a.shape} over {x.shape}")
     out = Tensor(x.data * a.data, copy=False)
-    _count_macs(out.size)
+    _count_macs(out.shape)
     t = _tape()
     if t is not None:
         axes = tuple(i for i, (dx, da) in enumerate(zip(x.shape, a.shape))
@@ -678,7 +669,7 @@ def scale(x, factor):
     """Multiply by a Python scalar constant."""
     f = float(factor)
     out = Tensor(x.data * f, copy=False)
-    _count_macs(out.size)
+    _count_macs(out.shape)
     t = _tape()
     if t is not None:
         t._record(out, [x], lambda g: [g * f])
@@ -803,7 +794,7 @@ def space_to_depth_2x2(x):
 def global_avg_pool(x):
     """Mean over (h, w) -> (n, c, 1, 1)."""
     out = Tensor(x.data.mean(axis=(2, 3), keepdims=True), copy=False)
-    _count_macs(x.size)
+    _count_macs(x.shape)
     t = _tape()
     if t is not None:
         n, c, h, w = x.shape
@@ -835,7 +826,7 @@ def global_max_pool(x):
 def channel_mean(x):
     """Mean over channels -> (n, 1, h, w)."""
     out = Tensor(x.data.mean(axis=1, keepdims=True), copy=False)
-    _count_macs(x.size)
+    _count_macs(x.shape)
     t = _tape()
     if t is not None:
         c = x.shape[1]

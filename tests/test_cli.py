@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drsinet import cli
 from drsinet.cli import main
 from drsinet.decode import DEFAULT_FALLOFF
 from drsinet.network import ModelConfig, build_model
@@ -116,6 +117,25 @@ class TestForwardCommand:
                      "--shape", "1,3,64,64", "--out",
                      str(tmp_path / "o.json")]) == 1
 
+    def test_batch_above_one_rejected_before_build(self, mini_cfg_file, tmp_path,
+                                                    rng, capsys, monkeypatch):
+        weights = tmp_path / "w.drsi"
+        save_weights(build_model(ModelConfig.from_file(mini_cfg_file), seed=0), weights)
+        image_path = tmp_path / "img.f32"
+        rng.uniform(0, 1, (2, 3, 64, 64)).astype("<f4").tofile(image_path)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built for a rejected --shape")
+        monkeypatch.setattr(cli, "build_model", no_build)
+        capsys.readouterr()
+        assert main(["forward", "--config", str(mini_cfg_file),
+                     "--weights", str(weights), "--image", str(image_path),
+                     "--shape", "2,3,64,64", "--out",
+                     str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "batch must be 1, got 2" in err
+
 
 class TestEvalCommand:
     def test_fixture_prints_ap(self, tmp_path, capsys):
@@ -139,6 +159,21 @@ class TestEvalCommand:
         assert "AP 0.1000" in out
         assert "AP50 1.0000" in out
         assert "AP75 0.0000" in out
+
+    @pytest.mark.parametrize("area", ["0", "-5", "NaN"])
+    def test_non_positive_area_rejected(self, area, tmp_path, capsys):
+        kps = [50.0, 50.0, 2.0] + [0.0] * 48
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(
+            '{"annotations": [{"image_id": 1, "category_id": 1, "keypoints": '
+            + json.dumps(kps) + ', "area": ' + area + '}]}')
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                          "keypoints": kps, "score": 0.9}]))
+        assert main(["eval", "--gt", str(gt_path), "--pred", str(pred_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "area must be > 0" in err
 
     def test_custom_sigmas_file(self, tmp_path, capsys):
         kps = [50.0, 50.0, 2.0] + [0.0] * 48

@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from drsinet import tensor as T
-from drsinet.interactions import (
-    ChannelScheme, ResGnConv, build_scheme, gconv_forward, gn_conv_forward,
-    res_gn_conv_forward,
-)
+from drsinet.interactions import ChannelScheme, ResGnConv, build_scheme
 from drsinet.tensor import DomainError, Tape, grad_check, tensor
 
 
@@ -96,20 +93,20 @@ class TestGconv:
     def test_identity_config_squares_input(self):
         layer = identity_layer(4, n=1)
         x = tensor(np.full((1, 4, 3, 3), 3.0, np.float32))
-        y = gconv_forward(layer, x)
+        y = layer(x)
         np.testing.assert_array_equal(y.numpy(), np.full((1, 4, 3, 3), 9.0, np.float32))
 
     def test_zero_input_zero_output(self):
         layer = ResGnConv(8, n=1, residual_enabled=False).finalize(3)
         zero_biases(layer)
-        y = gconv_forward(layer, tensor(np.zeros((1, 8, 4, 4), np.float32)))
+        y = layer(tensor(np.zeros((1, 8, 4, 4), np.float32)))
         assert np.all(y.numpy() == 0.0)
 
     def test_shape_preserved(self, rng):
         layer = ResGnConv(8, n=1, residual_enabled=False).finalize(5)
         for shape in [(1, 8, 4, 4), (2, 8, 6, 3), (1, 8, 9, 9)]:
             x = tensor(rng.normal(size=shape).astype(np.float32))
-            assert gconv_forward(layer, x).shape == shape
+            assert layer(x).shape == shape
 
 
 class TestGnConv:
@@ -117,7 +114,7 @@ class TestGnConv:
         layer = ResGnConv(8, n=1, residual_enabled=False).finalize(7)
         for _ in range(20):
             x = tensor(rng.normal(size=(1, 8, 5, 5)).astype(np.float32))
-            a = gn_conv_forward(layer, x)
+            a = layer(x)
             b = manual_gconv(layer, x)
             assert a.numpy().tobytes() == b.numpy().tobytes()
 
@@ -141,7 +138,7 @@ class TestGnConv:
     def test_zero_input_zero_output(self):
         layer = ResGnConv(8, n=2, residual_enabled=False).finalize(9)
         zero_biases(layer)
-        y = gn_conv_forward(layer, tensor(np.zeros((1, 8, 4, 4), np.float32)))
+        y = layer(tensor(np.zeros((1, 8, 4, 4), np.float32)))
         assert np.all(y.numpy() == 0.0)
 
 
@@ -149,14 +146,14 @@ class TestResGnConv:
     def test_identity_config_n1_lambda3(self):
         layer = identity_layer(4, n=1, lam=3.0, residual_enabled=True)
         x = tensor(np.full((1, 4, 3, 3), 3.0, np.float32))
-        y = res_gn_conv_forward(layer, x)
+        y = layer(x)
         # (3 + 3 + 3*3) / 3 = 5
         np.testing.assert_array_equal(y.numpy(), np.full((1, 4, 3, 3), 5.0, np.float32))
 
     def test_zero_input_zero_output(self):
         layer = ResGnConv(8, n=2, lam=3.0, residual_enabled=True).finalize(11)
         zero_biases(layer)
-        y = res_gn_conv_forward(layer, tensor(np.zeros((1, 8, 4, 4), np.float32)))
+        y = layer(tensor(np.zeros((1, 8, 4, 4), np.float32)))
         assert np.all(y.numpy() == 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -168,8 +165,8 @@ class TestResGnConv:
         toggled.lam = 1.0
         for _ in range(20):
             x = tensor(rng.normal(size=(1, 8, 5, 5)).astype(np.float32))
-            a = gn_conv_forward(plain, x).numpy()
-            b = gn_conv_forward(toggled, x).numpy()
+            a = plain(x).numpy()
+            b = toggled(x).numpy()
             assert np.max(np.abs(a - b)) <= 1e-5
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -232,14 +229,3 @@ class TestResGnConv:
     def test_lambda_must_be_positive(self):
         with pytest.raises(DomainError):
             ResGnConv(8, n=1, lam=0.0)
-
-    def test_wrapper_mode_guards(self, rng):
-        res = ResGnConv(8, n=2, residual_enabled=True).finalize(41)
-        plain = ResGnConv(8, n=2, residual_enabled=False).finalize(43)
-        x = tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32))
-        with pytest.raises(DomainError):
-            gn_conv_forward(res, x)
-        with pytest.raises(DomainError):
-            res_gn_conv_forward(plain, x)
-        with pytest.raises(DomainError):
-            gconv_forward(res, x)

@@ -1,17 +1,17 @@
 """Model assembly: configs, deterministic builds, pyramid shapes, neck
 variants and end-to-end gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from drsinet import tensor as T
 from drsinet.blocks import ConvBnSilu
 from drsinet.layers import Conv2d, Layer
-from drsinet.network import (
-    ConfigError, Model, ModelConfig, Neck, backbone_forward, build_model,
-    count_trainable, head_forward, neck_forward,
-)
-from drsinet.profiler import ProfileRows
+from drsinet.network import ConfigError, ModelConfig, Neck, build_model
+from drsinet.profiler import trace
 from drsinet.tensor import ShapeError, grad_check, tensor
 
 
@@ -90,19 +90,28 @@ class TestBuildDeterminism:
         assert diffs
 
 
+class TestLifetime:
+    def test_dropped_model_freed_without_cycle_collector(self):
+        model = build_model(mini_config(), seed=0)
+        weight = weakref.ref(model.heads[0].weight)
+        gc.disable()
+        try:
+            del model
+            assert weight() is None
+        finally:
+            gc.enable()
+
+
 class TestBackbone:
     def test_pyramid_shapes_s_640(self, rng):
         model = build_model(ModelConfig(variant="s"), seed=0)
-        fp = backbone_forward(model, rand_image(rng, 640))
+        fp = model.backbone(rand_image(rng, 640))
         want = [(1, 128, 80, 80), (1, 256, 40, 40), (1, 384, 20, 20), (1, 512, 10, 10)]
         assert [lv.shape for lv in fp.levels] == want
-        assert fp.p6.shape[1] == 512
+        assert fp.levels[3].shape[1] == 512
 
     def test_pyramid_shapes_l_960_analytic(self):
-        model = Model(ModelConfig(variant="l"))
-        rows = ProfileRows()
-        model.profile((1, 3, 960, 960), "", rows)
-        marks = {r.name: r.shape for r in rows if r.name.startswith("backbone.P")}
+        marks = dict(trace(ModelConfig(variant="l"), 960))
         assert marks["backbone.P3"] == (1, 256, 120, 120)
         assert marks["backbone.P4"] == (1, 512, 60, 60)
         assert marks["backbone.P5"] == (1, 768, 30, 30)
@@ -111,7 +120,7 @@ class TestBackbone:
     def test_indivisible_input_rejected(self, rng):
         model = build_model(mini_config(), seed=0)
         with pytest.raises(ShapeError):
-            backbone_forward(model, tensor(np.zeros((1, 3, 500, 500), np.float32)))
+            model.backbone(tensor(np.zeros((1, 3, 500, 500), np.float32)))
 
     def test_weights_shared_across_resolutions(self, rng):
         model = build_model(mini_config(), seed=3)
@@ -135,25 +144,19 @@ class TestNeck:
     @pytest.mark.parametrize("kind", ["pan", "cbam_pan", "asi_pan"])
     def test_strides_preserved(self, kind, rng):
         model = build_model(mini_config(neck=kind), seed=5)
-        fp = backbone_forward(model, rand_image(rng, 128))
-        out = neck_forward(model, fp)
-        assert [lv.shape[2:] for lv in out.levels] == [lv.shape[2:] for lv in fp.levels]
-        assert out.strides == (8, 16, 32, 64)
+        fp = model.backbone(rand_image(rng, 128))
+        out = model.neck(fp.levels)
+        assert [lv.shape[2:] for lv in out] == [lv.shape[2:] for lv in fp.levels]
+        assert [128 // lv.shape[2] for lv in out] == [8, 16, 32, 64]
 
     def test_all_necks_same_shapes(self, rng):
         x = rand_image(rng, 128)
         shapes = {}
         for kind in ("pan", "cbam_pan", "asi_pan"):
             model = build_model(mini_config(neck=kind), seed=6)
-            out = neck_forward(model, backbone_forward(model, x))
-            shapes[kind] = [lv.shape for lv in out.levels]
+            out = model.neck(model.backbone(x).levels)
+            shapes[kind] = [lv.shape for lv in out]
         assert shapes["pan"] == shapes["cbam_pan"] == shapes["asi_pan"]
-
-    def test_kind_mismatch_rejected(self, rng):
-        model = build_model(mini_config(neck="pan"), seed=7)
-        fp = backbone_forward(model, rand_image(rng, 64))
-        with pytest.raises(ConfigError):
-            neck_forward(model, fp, kind="asi_pan")
 
     def test_zeroed_cbam_equals_quarter_scaled_pan(self, rng):
         pan = build_model(mini_config(neck="pan"), seed=8)
@@ -171,8 +174,8 @@ class TestNeck:
         for tr in pan.neck.bu_transforms:
             tr.attn = _Scaler(0.25)
         x = rand_image(rng, 128)
-        got = [lv.numpy().tobytes() for lv in neck_forward(cbam, backbone_forward(cbam, x)).levels]
-        want = [lv.numpy().tobytes() for lv in neck_forward(pan, backbone_forward(pan, x)).levels]
+        got = [lv.numpy().tobytes() for lv in cbam.neck(cbam.backbone(x).levels)]
+        want = [lv.numpy().tobytes() for lv in pan.neck(pan.backbone(x).levels)]
         assert got == want
 
     @pytest.mark.parametrize("kind", ["pan", "cbam_pan", "asi_pan"])
@@ -197,10 +200,8 @@ class TestHeads:
         assert all(o.shape[1] == 171 for o in outs)
 
     def test_anchor_slot_formula(self):
-        model = Model(ModelConfig(variant="s"))
-        rows = ProfileRows()
-        shapes = model.profile((1, 3, 960, 960), "", rows)
-        grids = [s[2] * s[3] for s in shapes]
+        rows = dict(trace(ModelConfig(variant="s"), 960))
+        grids = [rows[f"heads.{i}"][2] * rows[f"heads.{i}"][3] for i in range(4)]
         assert grids == [120 ** 2, 60 ** 2, 30 ** 2, 15 ** 2]
         assert 3 * sum(grids) == 57_375
 
@@ -210,15 +211,6 @@ class TestHeads:
             head.weight.set(np.zeros(head.weight.logical_shape, np.float32))
         outs = model(rand_image(rng, 64))
         assert all(np.all(o.numpy() == 0.0) for o in outs)
-
-    def test_head_forward_level_count(self, rng):
-        model = build_model(mini_config(), seed=17)
-        fp = backbone_forward(model, rand_image(rng, 64))
-        refined = neck_forward(model, fp)
-        outs = head_forward(model, refined)
-        assert len(outs) == 4
-        with pytest.raises(ShapeError):
-            head_forward(model, refined.levels[:3])
 
 
 class TestEndToEnd:
@@ -251,8 +243,8 @@ class TestEndToEnd:
         assert conv.count_trainable() == 64 * 128 + 128
 
     def test_count_invariant_to_build_seed(self):
-        assert count_trainable(build_model(mini_config(), seed=0)) == \
-            count_trainable(build_model(mini_config(), seed=99))
+        assert build_model(mini_config(), seed=0).count_trainable() == \
+            build_model(mini_config(), seed=99).count_trainable()
 
 
 class TestTableWidths:
@@ -260,7 +252,7 @@ class TestTableWidths:
     def test_backbone_channel_mapping_per_variant(self, variant, rng):
         cfg = ModelConfig(variant=variant)
         model = build_model(cfg, seed=0)
-        fp = backbone_forward(model, rand_image(rng, 64))
+        fp = model.backbone(rand_image(rng, 64))
         assert [lv.shape[1] for lv in fp.levels] == cfg.stage_channels()[1:]
         for lv, stride in zip(fp.levels, fp.strides):
             assert lv.shape[2] == 64 // stride

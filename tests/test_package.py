@@ -5,7 +5,7 @@ import types
 import numpy as np
 
 import drsinet
-from drsinet import ModelConfig, build_model, count_trainable
+from drsinet import ModelConfig, build_model
 
 
 def test_submodules_not_shadowed():
@@ -20,7 +20,7 @@ def test_root_api_smoke(rng):
     cfg = ModelConfig(variant="custom", width_mult=0.005, depth_mult=0.2,
                       cbam_reduction=4, neck="pan")
     model = build_model(cfg, seed=0)
-    assert count_trainable(model) > 0
+    assert model.count_trainable() > 0
     x = drsinet.tensor.tensor(rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32))
     outs = model(x)
     assert len(outs) == 4

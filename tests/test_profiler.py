@@ -1,5 +1,9 @@
-"""Profiler: analytic MACs vs the instrumented counter, scaling laws, and
-the binary weight archive."""
+"""Profiler: the batch-0 profile against golden figures and a real forward,
+scaling laws, and the binary weight archive."""
+
+import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,15 @@ from drsinet import tensor as T
 from drsinet.network import ModelConfig, Model, build_model
 from drsinet.profiler import (
     ArchiveError, largest_param_layers, load_weights, profile, read_archive,
-    report_csv, report_json, save_weights, trace,
+    report_csv, report_jsonl, save_weights, trace,
 )
 from drsinet.tensor import DomainError, tensor
+
+ROOT = Path(__file__).resolve().parents[1]
+# Recorded from the hand-written analytic profiler that the batch-0 forward
+# replaced: totals over a config grid and, for the mini config at 128, every
+# row of a layer that owns parameters plus the pyramid and head rows.
+GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_profile.json").read_text())
 
 
 def mini_config(**overrides):
@@ -22,8 +32,9 @@ def mini_config(**overrides):
 
 class TestProfile:
     def test_input_size_divisibility(self):
-        with pytest.raises(DomainError):
-            profile(ModelConfig(variant="s"), 100)
+        for size in (100, 0, -64):
+            with pytest.raises(DomainError):
+                profile(ModelConfig(variant="s"), size)
 
     def test_totals_are_column_sums(self):
         report = profile(mini_config(), 128)
@@ -50,6 +61,35 @@ class TestProfile:
         with T.mac_counter() as mc:
             model(x)
         assert mc.macs == report.total_macs
+
+    def test_counter_counts_per_image(self):
+        cfg = mini_config()
+        model = build_model(cfg, seed=0)
+        x = tensor(np.random.default_rng(1)
+                   .uniform(0, 1, (2, 3, 64, 64)).astype(np.float32))
+        with T.mac_counter() as mc:
+            model(x)
+        assert mc.macs == profile(cfg, 64).total_macs
+
+    def test_counter_scopes_by_parameter_path(self):
+        cfg = mini_config()
+        model = build_model(cfg, seed=0)
+        x = tensor(np.zeros((1, 3, 64, 64), np.float32))
+        with T.mac_counter() as mc:
+            model(x)
+        owners = {name.rpartition(".")[0] for name, _ in model.named_parameters()}
+        assert owners <= set(mc.outputs)
+        assert sum(mc.scope_macs.values()) == mc.macs
+        assert not mc.scopes
+
+    def test_no_seeded_init_and_no_warnings(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("profile ran the seeded weight init")
+        monkeypatch.setattr(T, "_named_uniform", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = profile(ModelConfig(variant="l"), 1280)
+        assert report.total_params == 82_963_077
 
     def test_gmacs_ratios_match_published_scaling(self):
         cfg = ModelConfig(variant="s")
@@ -128,10 +168,59 @@ class TestReportFormats:
 
     def test_json_totals(self):
         report = profile(mini_config(), 128)
-        data = report_json(report)
-        assert data["totals"]["params"] == report.total_params
-        assert data["totals"]["gmacs"] == report.gmacs
-        assert len(data["rows"]) == len(report.rows)
+        lines = [json.loads(ln) for ln in report_jsonl(report).splitlines()]
+        assert lines[-1]["totals"]["params"] == report.total_params
+        assert lines[-1]["totals"]["macs"] == report.total_macs
+        assert lines[-1]["totals"]["gmacs"] == report.gmacs
+        assert lines[-1]["input_size"] == 128
+        assert len(lines) == len(report.rows) + 1
+
+
+def _grid_id(case):
+    residual = "res" if case["residual_interactions"] else "plain"
+    return (f"{case['variant']}-{case['neck']}-{case['backbone_block']}-"
+            f"{residual}-{case['input_size']}")
+
+
+def _is_marker(row):
+    last = row.name.split(".")[-1]
+    return last[0] in "PN" and last[1:].isdigit() or row.name.startswith("heads.")
+
+
+class TestGoldenProfile:
+    @pytest.mark.parametrize("case", GOLDEN["totals"], ids=_grid_id)
+    def test_totals_bit_equal(self, case):
+        cfg = ModelConfig(variant=case["variant"], neck=case["neck"],
+                          backbone_block=case["backbone_block"],
+                          residual_interactions=case["residual_interactions"])
+        report = profile(cfg, case["input_size"])
+        assert (report.total_params, report.total_macs) == (case["params"], case["macs"])
+
+    def test_mini_parameterised_rows(self):
+        golden = GOLDEN["mini_128"]
+        report = profile(ModelConfig.from_file(ROOT / golden["config"]),
+                         golden["input_size"])
+        got = [(r.name, list(r.shape), r.params, r.macs)
+               for r in report.rows if r.params > 0]
+        assert [g[:3] for g in got] == [tuple(w[:3]) for w in golden["rows"]]
+        for (name, _, _, macs), want in zip(got, golden["rows"]):
+            if name.endswith((".attn.fc1", ".attn.fc2")):
+                # the Cbam MLP runs on the average- and the max-pooled
+                # descriptor; the fixture holds one pass on these rows, the
+                # forward charges both to them
+                assert macs == 2 * want[3], name
+            else:
+                assert macs == want[3], name
+        assert any(g[0].endswith(".attn.fc1") for g in got)
+        assert (report.total_params, report.total_macs) == \
+            (golden["total_params"], golden["total_macs"])
+
+    def test_mini_pyramid_and_head_rows(self):
+        golden = GOLDEN["mini_128"]
+        report = profile(ModelConfig.from_file(ROOT / golden["config"]),
+                         golden["input_size"])
+        got = [[r.name, list(r.shape)] for r in report.rows if _is_marker(r)]
+        assert got == golden["markers"]
 
 
 class TestWeightArchive:

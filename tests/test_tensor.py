@@ -163,16 +163,6 @@ class TestNorms:
                          np.zeros(1, np.float32), np.ones(1, np.float32), eps=1e-12)
         assert abs(y.numpy().item() - 7.0) < 1e-5
 
-    def test_batch_norm_train_constant_input(self):
-        x = tensor(np.full((2, 3, 4, 4), 5.0, np.float32))
-        beta = np.array([0.5, -1.0, 2.0], np.float32)
-        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
-        y = T.batch_norm(x, np.ones(3, np.float32), beta, rm, rv, eps=1e-5, mode="train")
-        np.testing.assert_allclose(y.numpy(), np.broadcast_to(beta.reshape(1, 3, 1, 1),
-                                                              (2, 3, 4, 4)), atol=1e-6)
-        # running statistics moved toward the batch statistics
-        np.testing.assert_allclose(rm, 0.03 * 5.0 * np.ones(3), rtol=1e-6)
-
     def test_batch_norm_bad_eps(self, rng):
         x = rand_t(rng, (1, 2, 2, 2))
         v = np.ones(2, np.float32)
