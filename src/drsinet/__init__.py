@@ -13,7 +13,7 @@ from .blocks import (
 )
 from .network import FeaturePyramid, Model, ModelConfig, build_model
 from .decode import (
-    Detection, GroundTruthInstance, KeypointSigmas, encode, evaluate, nms, oks,
+    Detections, GroundTruthInstance, KeypointSigmas, encode, evaluate, nms, oks,
 )
 from .profiler import (
     ProfileReport, load_weights, profile, save_weights, trace,
@@ -27,7 +27,7 @@ __all__ = [
     "C3", "C3dr", "Cbam", "ConvBnSilu", "DrsiBlock", "Focus",
     "InvertedBottleneck", "Spp",
     "FeaturePyramid", "Model", "ModelConfig", "build_model",
-    "Detection", "GroundTruthInstance", "KeypointSigmas", "encode",
+    "Detections", "GroundTruthInstance", "KeypointSigmas", "encode",
     "evaluate", "nms", "oks",
     "ProfileReport", "load_weights", "profile", "save_weights", "trace",
 ]

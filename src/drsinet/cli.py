@@ -17,7 +17,7 @@ from . import decode as D
 from . import profiler as P
 from . import selftest as S
 from .network import ConfigError, ModelConfig, build_model
-from .tensor import tensor
+from .tensor import DomainError, tensor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,13 +111,15 @@ def _cmd_forward(args):
     if raw.size != expected:
         raise ConfigError(
             f"image file holds {raw.size} floats, shape needs {expected}")
+    if not np.isfinite(raw).all():
+        raise DomainError(f"image file holds {np.count_nonzero(~np.isfinite(raw))} "
+                          "non-finite values (NaN or inf)")
     model = build_model(cfg, seed=_default_seed())
     P.load_weights(model, args.weights)
     outs = model(tensor(raw.reshape(dims)))
-    dets = []
-    for head, stride, anchors in zip(outs, cfg.strides, cfg.anchors):
-        dets.extend(D.decode(head, stride, anchors, args.conf,
-                             num_keypoints=cfg.num_keypoints))
+    dets = D.Detections.concatenate([
+        D.decode(head, stride, anchors, args.conf, num_keypoints=cfg.num_keypoints)
+        for head, stride, anchors in zip(outs, cfg.strides, cfg.anchors)])
     dets = D.nms(dets, args.iou)
     D.write_results({args.image_id: dets}, args.out)
     print(f"wrote {len(dets)} detections to {args.out}")

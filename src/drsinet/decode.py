@@ -37,29 +37,51 @@ RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 LARGE_AREA = 96.0 ** 2
 
 
-@dataclass
-class Detection:
-    """One decoded person instance in input-pixel coordinates."""
+class FormatError(ValueError):
+    """A COCO-style keypoint file is not an array of well-formed entries."""
 
-    box: tuple                 # (cx, cy, w, h)
-    objectness: float
-    class_score: float
-    keypoints: np.ndarray      # (K, 3): x, y, confidence
 
-    def __post_init__(self):
-        self.keypoints = np.asarray(self.keypoints, dtype=np.float64)
-        if self.keypoints.ndim != 2 or self.keypoints.shape[1] != 3:
-            raise ShapeError("keypoints must be (K, 3)")
-        if self.box[2] <= 0 or self.box[3] <= 0:
-            raise DomainError(f"box sides must be positive, got {self.box}")
+class Detections:
+    """Decoded person instances in input-pixel coordinates, one row each.
 
-    @property
-    def score(self):
-        return self.objectness * self.class_score
+    ``boxes`` (M, 4) as cx, cy, w, h; ``scores`` (M,); ``keypoints``
+    (M, K, 3) as x, y, confidence; all float64.  Index-array or slice
+    selection (``dets[idx]``) and :meth:`concatenate` return new containers.
+    """
+
+    __slots__ = ("boxes", "scores", "keypoints")
+
+    def __init__(self, boxes, scores, keypoints):
+        self.boxes = np.asarray(boxes, dtype=np.float64)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.keypoints = np.asarray(keypoints, dtype=np.float64)
+        if self.keypoints.ndim != 3 or self.keypoints.shape[2] != 3:
+            raise ShapeError(f"keypoints must be (M, K, 3), got {self.keypoints.shape}")
+        m = self.keypoints.shape[0]
+        if self.boxes.shape != (m, 4) or self.scores.shape != (m,):
+            raise ShapeError(f"boxes {self.boxes.shape} and scores {self.scores.shape} "
+                             f"do not match {m} keypoint rows")
+        bad = np.any(self.boxes[:, 2:] <= 0, axis=1)
+        if bad.any():
+            raise DomainError(f"box sides must be positive, got {self.boxes[bad][0].tolist()}")
+
+    def __len__(self):
+        return self.scores.shape[0]
+
+    def __getitem__(self, idx):
+        return Detections(self.boxes[idx], self.scores[idx], self.keypoints[idx])
+
+    @staticmethod
+    def concatenate(parts):
+        """Rows of every container in ``parts``, in order."""
+        return Detections(np.concatenate([p.boxes for p in parts]),
+                          np.concatenate([p.scores for p in parts]),
+                          np.concatenate([p.keypoints for p in parts]))
 
     @property
     def area(self):
-        return self.box[2] * self.box[3]
+        """Box areas w * h, (M,)."""
+        return self.boxes[:, 2] * self.boxes[:, 3]
 
 
 @dataclass
@@ -99,7 +121,9 @@ class KeypointSigmas:
 # ---------------------------------------------------------------------------
 
 def decode(head, stride, anchors, conf_threshold, num_keypoints=17):
-    """Decode one head tensor (batch 1) into detections above the threshold."""
+    """Decode one head tensor (batch 1) into the :class:`Detections` whose
+    score ``objectness * class_score`` reaches the threshold, ordered by
+    (anchor, row, column)."""
     data = head.numpy() if hasattr(head, "numpy") else np.asarray(head)
     if data.ndim != 4 or data.shape[0] != 1:
         raise ShapeError(f"head must be (1, c, h, w), got {data.shape}")
@@ -109,38 +133,23 @@ def decode(head, stride, anchors, conf_threshold, num_keypoints=17):
         raise ShapeError(
             f"head has {data.shape[1]} channels, expected {n_anchor * fields}")
     _, _, h, w = data.shape
-    t = data.reshape(n_anchor, fields, h, w).astype(np.float64)
-    jj = np.arange(w).reshape(1, 1, w)
-    ii = np.arange(h).reshape(1, h, 1)
+    t = data.reshape(n_anchor, fields, h, w)
     s = float(stride)
 
-    sig = expit(t)
-    obj = sig[:, 4]
-    cls = sig[:, 5]
-    score = obj * cls
-    keep = score >= conf_threshold
+    score = expit(t[:, 4].astype(np.float64)) * expit(t[:, 5].astype(np.float64))
+    a, i, j = np.nonzero(score >= conf_threshold)
+    sig = expit(t[a, :, i, j].astype(np.float64))       # (M, fields)
 
-    aw = np.array([a[0] for a in anchors], dtype=np.float64).reshape(-1, 1, 1)
-    ah = np.array([a[1] for a in anchors], dtype=np.float64).reshape(-1, 1, 1)
-    bx = (2.0 * sig[:, 0] - 0.5 + jj) * s
-    by = (2.0 * sig[:, 1] - 0.5 + ii) * s
-    bw = (2.0 * sig[:, 2]) ** 2 * aw
-    bh = (2.0 * sig[:, 3]) ** 2 * ah
-
-    kx = ((2.0 * sig[:, 6::3] - 0.5) * 4.0 - 1.5 + jj) * s
-    ky = ((2.0 * sig[:, 7::3] - 0.5) * 4.0 - 1.5 + ii) * s
-    kc = sig[:, 8::3]
-
-    dets = []
-    for a, i, j in zip(*np.nonzero(keep)):
-        kps = np.stack([kx[a, :, i, j], ky[a, :, i, j], kc[a, :, i, j]], axis=1)
-        dets.append(Detection(
-            box=(float(bx[a, i, j]), float(by[a, i, j]),
-                 float(bw[a, i, j]), float(bh[a, i, j])),
-            objectness=float(obj[a, i, j]),
-            class_score=float(cls[a, i, j]),
-            keypoints=kps))
-    return dets
+    aw = np.array([p[0] for p in anchors], dtype=np.float64)[a]
+    ah = np.array([p[1] for p in anchors], dtype=np.float64)[a]
+    boxes = np.stack([(2.0 * sig[:, 0] - 0.5 + j) * s,
+                      (2.0 * sig[:, 1] - 0.5 + i) * s,
+                      (2.0 * sig[:, 2]) ** 2 * aw,
+                      (2.0 * sig[:, 3]) ** 2 * ah], axis=1)
+    keypoints = np.stack([((2.0 * sig[:, 6::3] - 0.5) * 4.0 - 1.5 + j[:, None]) * s,
+                          ((2.0 * sig[:, 7::3] - 0.5) * 4.0 - 1.5 + i[:, None]) * s,
+                          sig[:, 8::3]], axis=2)
+    return Detections(boxes, score[a, i, j], keypoints)
 
 
 def encode(box, keypoints, stride, anchor, cell, objectness=0.9,
@@ -180,33 +189,43 @@ def encode(box, keypoints, stride, anchor, cell, objectness=0.9,
 # ---------------------------------------------------------------------------
 
 def _corners(box):
-    cx, cy, w, h = box
+    cx, cy, w, h = box[..., 0], box[..., 1], box[..., 2], box[..., 3]
     return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
 
 def box_iou(a, b):
-    """Intersection over union of two (cx, cy, w, h) boxes."""
-    ax1, ay1, ax2, ay2 = _corners(a)
-    bx1, by1, bx2, by2 = _corners(b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
+    """Intersection over union of (cx, cy, w, h) boxes ``a`` (..., 4) and
+    ``b`` (..., 4), pairwise over the broadcast leading axes."""
+    ax1, ay1, ax2, ay2 = _corners(np.asarray(a, dtype=np.float64))
+    bx1, by1, bx2, by2 = _corners(np.asarray(b, dtype=np.float64))
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union
 
 
 def nms(dets, iou_threshold):
-    """Greedy suppression by descending score; ties keep input order."""
+    """Greedy suppression by descending score; ties keep input order.
+
+    Each kept box is compared, in one :func:`box_iou` row, with the
+    candidates still alive after it; those whose IoU is not at most the
+    threshold are dropped.  The kept rows come back in input order.
+    """
     if not 0.0 < iou_threshold < 1.0:
         raise DomainError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-    order = sorted(range(len(dets)), key=lambda k: -dets[k].score)
+    order = np.argsort(-dets.scores, kind="stable")
+    # the alive boxes, coordinate-major (4, n) so box_iou reads each
+    # coordinate contiguously; column 0 is the best one left
+    alive = np.ascontiguousarray(dets.boxes[order].T)
     kept = []
-    for k in order:
-        if all(box_iou(dets[k].box, dets[j].box) <= iou_threshold for j in kept):
-            kept.append(k)
-    return [dets[k] for k in sorted(kept)]
+    while order.size:
+        kept.append(order[0])
+        keep = box_iou(alive[:, 0], alive[:, 1:].T) <= iou_threshold
+        order, alive = order[1:], alive[:, 1:]
+        if not keep.all():          # copy only when a box is dropped
+            order, alive = order[keep], alive[:, keep]
+    return dets[np.sort(np.asarray(kept, dtype=np.intp))]
 
 
 # ---------------------------------------------------------------------------
@@ -214,41 +233,45 @@ def nms(dets, iou_threshold):
 # ---------------------------------------------------------------------------
 
 def oks(pred_keypoints, gt, sigmas=None):
-    """Similarity of predicted keypoints to one annotated instance."""
+    """Similarity of predicted keypoints (..., K, 3) to one annotated
+    instance, over the leading axes of the prediction (a float for one
+    (K, 3) prediction)."""
     sigmas = sigmas or KeypointSigmas()
     pred = np.asarray(pred_keypoints, dtype=np.float64)
     vis = gt.visible
     if not np.any(vis):
         raise DomainError("ground-truth instance has no visible keypoints")
-    if pred.shape[0] != gt.keypoints.shape[0]:
+    if pred.ndim < 2 or pred.shape[-2:] != gt.keypoints.shape:
         raise ShapeError("prediction and ground truth disagree on keypoint count")
-    d2 = ((pred[:, 0] - gt.keypoints[:, 0]) ** 2
-          + (pred[:, 1] - gt.keypoints[:, 1]) ** 2)
+    d2 = ((pred[..., 0] - gt.keypoints[:, 0]) ** 2
+          + (pred[..., 1] - gt.keypoints[:, 1]) ** 2)
     s2 = float(gt.area)
     terms = np.exp(-d2 / (2.0 * s2 * sigmas.falloff ** 2))
-    return float(terms[vis].mean())
+    out = terms[..., vis].mean(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def _greedy_match(oks_matrix, threshold, gt_ignore):
-    """Greedy matching at one threshold over a precomputed OKS matrix.
+def _greedy_match(oks_rows, threshold, gt_ignore):
+    """Greedy matching at one threshold over a precomputed OKS matrix, given
+    as a list of rows.
 
     Detections are row-ordered by descending score.  Returns per-detection
     flags: 1 = matched a counted gt, 0 = unmatched, -1 = matched an ignored
     gt.  Counted ground truths are preferred over ignored ones.
     """
-    n_det, n_gt = oks_matrix.shape
-    flags = np.zeros(n_det, dtype=np.int8)
+    n_gt = len(gt_ignore)
+    flags = np.zeros(len(oks_rows), dtype=np.int8)
     taken = [False] * n_gt
     order = sorted(range(n_gt), key=lambda g: gt_ignore[g])  # counted first
-    for d in range(n_det):
+    for d, row in enumerate(oks_rows):
         best, best_oks = -1, threshold
         for g in order:
             if taken[g]:
                 continue
             if best >= 0 and not gt_ignore[best] and gt_ignore[g]:
                 break  # a counted match is already in hand
-            if oks_matrix[d, g] >= best_oks:
-                best, best_oks = g, oks_matrix[d, g]
+            if row[g] >= best_oks:
+                best, best_oks = g, row[g]
         if best >= 0:
             taken[best] = True
             flags[d] = -1 if gt_ignore[best] else 1
@@ -265,50 +288,59 @@ def _average_precision(tp_flags, n_gt):
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, 1)
     # enforce monotone non-increasing precision before interpolation
-    for i in range(len(precision) - 1, 0, -1):
-        if precision[i] > precision[i - 1]:
-            precision[i - 1] = precision[i]
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     idx = np.searchsorted(recall, RECALL_POINTS, side="left")
     interp = np.where(idx < len(precision),
                       precision[np.minimum(idx, len(precision) - 1)], 0.0)
     return float(np.mean(interp))
 
 
-def _evaluate_pass(preds_by_image, gts_by_image, sigmas, max_dets,
-                   area_range=None):
-    """One matching/accumulation pass; optionally restricted by gt area."""
-    image_ids = sorted(set(preds_by_image) | set(gts_by_image))
+def _score_images(preds_by_image, gts_by_image, sigmas, max_dets):
+    """Per image, by id: the scores and areas of its ``max_dets`` best
+    detections (best first, ties in input order), the areas of its ground
+    truths with visible keypoints, and the OKS matrix between the two."""
+    tables = []
+    for img in sorted(set(preds_by_image) | set(gts_by_image)):
+        dets = preds_by_image.get(img)
+        gts = [g for g in gts_by_image.get(img, []) if np.any(g.visible)]
+        if dets is None or not len(dets):
+            tables.append((np.zeros(0), np.zeros(0), [g.area for g in gts],
+                           np.zeros((0, len(gts)))))
+            continue
+        dets = dets[np.argsort(-dets.scores, kind="stable")[:max_dets]]
+        matrix = np.empty((len(dets), len(gts)), dtype=np.float64)
+        for g_idx, g in enumerate(gts):
+            matrix[:, g_idx] = oks(dets.keypoints, g, sigmas)
+        tables.append((dets.scores, dets.area, [g.area for g in gts], matrix))
+    return tables
+
+
+def _evaluate_pass(tables, area_range=None):
+    """One matching/accumulation pass over :func:`_score_images` tables;
+    optionally restricted by area."""
     per_image = []
     n_gt = 0
-    for img in image_ids:
-        dets = sorted(preds_by_image.get(img, []), key=lambda d: -d.score)
-        dets = dets[:max_dets]
-        gts = [g for g in gts_by_image.get(img, []) if np.any(g.visible)]
-        matrix = np.array([[oks(d.keypoints, g, sigmas) for g in gts]
-                           for d in dets], dtype=np.float64).reshape(len(dets), len(gts))
+    for _, det_area, gt_area, matrix in tables:
         if area_range is None:
-            ignore = [False] * len(gts)
-            det_out = [False] * len(dets)
+            ignore = [False] * len(gt_area)
+            det_out = np.zeros(len(det_area), dtype=bool)
         else:
             lo, hi = area_range
-            ignore = [not (lo < g.area <= hi) for g in gts]
-            det_out = [not (lo < d.area <= hi) for d in dets]
-        n_gt += sum(1 for ig in ignore if not ig)
-        per_image.append((dets, matrix, ignore, det_out))
+            ignore = [not (lo < a <= hi) for a in gt_area]
+            det_out = ~((lo < det_area) & (det_area <= hi))
+        n_gt += ignore.count(False)
+        per_image.append((matrix.tolist(), ignore, det_out))
+    scores = np.concatenate([t[0] for t in tables] + [np.zeros(0)])
+    order = np.argsort(-scores, kind="stable")
 
     ap, rec = [], []
     for t in OKS_THRESHOLDS:
-        scores, flags = [], []
-        for dets, matrix, ignore, det_out in per_image:
-            f = _greedy_match(matrix, t, ignore)
-            for d_idx in range(len(dets)):
-                if f[d_idx] == 0 and det_out[d_idx]:
-                    f[d_idx] = -1  # unmatched out-of-range detection
-            scores.extend(d.score for d in dets)
-            flags.extend(f)
-        order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-        flags_arr = (np.asarray(flags, dtype=np.int8)[order]
-                     if flags else np.zeros(0, dtype=np.int8))
+        flags = [np.zeros(0, dtype=np.int8)]
+        for rows, ignore, det_out in per_image:
+            f = _greedy_match(rows, t, ignore)
+            f[(f == 0) & det_out] = -1  # unmatched out-of-range detection
+            flags.append(f)
+        flags_arr = np.concatenate(flags)[order]
         ap.append(_average_precision(flags_arr, n_gt))
         rec.append(float(np.sum(flags_arr == 1)) / n_gt if n_gt else 0.0)
     return np.asarray(ap), np.asarray(rec)
@@ -323,9 +355,9 @@ def evaluate(preds_by_image, gts_by_image, sigmas=None, max_dets=20):
     recall over the thresholds at the detection cap).
     """
     sigmas = sigmas or KeypointSigmas()
-    ap, recall = _evaluate_pass(preds_by_image, gts_by_image, sigmas, max_dets)
-    ap_large, _ = _evaluate_pass(preds_by_image, gts_by_image, sigmas, max_dets,
-                                 area_range=(LARGE_AREA, float("inf")))
+    tables = _score_images(preds_by_image, gts_by_image, sigmas, max_dets)
+    ap, recall = _evaluate_pass(tables)
+    ap_large, _ = _evaluate_pass(tables, area_range=(LARGE_AREA, float("inf")))
     return {
         "AP": float(ap.mean()),
         "AP50": float(ap[0]),
@@ -339,54 +371,91 @@ def evaluate(preds_by_image, gts_by_image, sigmas=None, max_dets=20):
 # COCO-style file interfaces
 # ---------------------------------------------------------------------------
 
+def _malformed(what, exc):
+    reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+    return FormatError(f"{what}: {reason}")
+
+
 def read_ground_truth(path):
     """Read a COCO keypoint annotation file into per-image instances."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    annotations = data["annotations"] if isinstance(data, dict) else data
     out = {}
-    for ann in annotations:
-        kps = np.asarray(ann["keypoints"], dtype=np.float64).reshape(-1, 3)
-        bbox = tuple(float(v) for v in ann.get("bbox", (0, 0, 0, 0)))
-        area = float(ann.get("area", max(bbox[2] * bbox[3], 1.0)))
-        out.setdefault(int(ann["image_id"]), []).append(
+    try:
+        annotations = data["annotations"] if isinstance(data, dict) else list(data)
+    except (KeyError, TypeError) as exc:
+        raise _malformed(str(path), exc) from None
+    for n, ann in enumerate(annotations):
+        try:
+            kps = np.asarray(ann["keypoints"], dtype=np.float64).reshape(-1, 3)
+            bbox = tuple(float(v) for v in ann.get("bbox", (0, 0, 0, 0)))
+            area = float(ann.get("area", max(bbox[2] * bbox[3], 1.0)))
+            image_id = int(ann["image_id"])
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise _malformed(f"annotation {n}", exc) from None
+        out.setdefault(image_id, []).append(
             GroundTruthInstance(keypoints=kps, area=area, bbox=bbox))
     return out
 
 
 def read_results(path):
-    """Read a COCO keypoint results array into per-image detections."""
+    """Read a COCO keypoint results array into per-image :class:`Detections`,
+    rows in file order.
+
+    An entry without a ``bbox`` gets the extent of its keypoints, each side
+    at least 1 px.  Raises :class:`FormatError` when the file is not an
+    array of objects with ``image_id``, ``score`` and ``keypoints`` (x, y,
+    confidence triples, one count per image), all finite.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise FormatError(f"{path}: results must be a JSON array")
+    rows = {}
+    for n, item in enumerate(data):
+        try:
+            kps = np.asarray(item["keypoints"], dtype=np.float64).reshape(-1, 3)
+            score = float(item["score"])
+            if not (np.isfinite(score) and np.isfinite(kps).all()):
+                raise ValueError("score and keypoints must be finite")
+            if "bbox" in item:
+                x, y, w, h = (float(v) for v in item["bbox"])
+                if not np.isfinite([x, y, w, h]).all():
+                    raise ValueError("bbox must be finite")
+            else:
+                x, y = kps[:, 0].min(), kps[:, 1].min()
+                w = max(float(kps[:, 0].max() - x), 1.0)
+                h = max(float(kps[:, 1].max() - y), 1.0)
+            image_id = int(item["image_id"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(f"results entry {n}", exc) from None
+        boxes, scores, keypoints = rows.setdefault(image_id, ([], [], []))
+        boxes.append((x + w / 2.0, y + h / 2.0, w, h))
+        scores.append(score)
+        keypoints.append(kps)
     out = {}
-    for item in data:
-        kps = np.asarray(item["keypoints"], dtype=np.float64).reshape(-1, 3)
-        score = float(item["score"])
-        if "bbox" in item:
-            x, y, w, h = (float(v) for v in item["bbox"])
-        else:
-            x, y = kps[:, 0].min(), kps[:, 1].min()
-            w = max(float(kps[:, 0].max() - x), 1.0)
-            h = max(float(kps[:, 1].max() - y), 1.0)
-        out.setdefault(int(item["image_id"]), []).append(Detection(
-            box=(x + w / 2.0, y + h / 2.0, w, h),
-            objectness=score, class_score=1.0, keypoints=kps))
+    for image_id in list(rows):
+        boxes, scores, keypoints = rows.pop(image_id)   # frees as it goes
+        if len({k.shape for k in keypoints}) > 1:
+            raise FormatError(f"results for image {image_id}: entries disagree "
+                              "on the keypoint count")
+        out[image_id] = Detections(boxes, scores, keypoints)
     return out
 
 
 def write_results(dets_by_image, path, category_id=1):
-    """Write detections as a COCO keypoint results array."""
+    """Write detections as a COCO keypoint results array: images by
+    ascending id, each image's rows in their order in its container."""
     items = []
     for image_id in sorted(dets_by_image):
-        for det in dets_by_image[image_id]:
-            cx, cy, w, h = det.box
-            items.append({
-                "image_id": int(image_id),
-                "category_id": int(category_id),
-                "bbox": [cx - w / 2.0, cy - h / 2.0, w, h],
-                "score": det.score,
-                "area": det.area,
-                "keypoints": [float(v) for v in det.keypoints.reshape(-1)],
-            })
+        dets = dets_by_image[image_id]
+        cx, cy, w, h = dets.boxes.T
+        bbox = np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1).tolist()
+        keypoints = dets.keypoints.reshape(len(dets), dets.keypoints.shape[1] * 3)
+        for b, s, a, k in zip(bbox, dets.scores.tolist(), dets.area.tolist(),
+                              keypoints.tolist()):
+            items.append({"image_id": int(image_id),
+                          "category_id": int(category_id),
+                          "bbox": b, "score": s, "area": a, "keypoints": k})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(items, fh)

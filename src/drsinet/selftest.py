@@ -292,19 +292,16 @@ def _random_tiny_case(rng):
             instances.append(D.GroundTruthInstance(
                 keypoints=kps, area=float(rng.uniform(100, 2500))))
         gts[img] = instances
-        dets = []
+        kps, scores = np.zeros((n_det, 17, 3)), np.zeros(n_det)
         for k in range(n_det):
             if instances:
-                base = instances[k % len(instances)].keypoints.copy()
-            else:
-                base = np.zeros((17, 3))
-            base[:, 0] += rng.normal(0, rng.uniform(0.5, 15.0), 17)
-            base[:, 1] += rng.normal(0, rng.uniform(0.5, 15.0), 17)
-            base[:, 2] = 0.9
-            dets.append(D.Detection(box=(50, 50, 30, 30),
-                                    objectness=float(rng.uniform(0.05, 0.99)),
-                                    class_score=1.0, keypoints=base))
-        preds[img] = dets
+                kps[k] = instances[k % len(instances)].keypoints
+            kps[k, :, 0] += rng.normal(0, rng.uniform(0.5, 15.0), 17)
+            kps[k, :, 1] += rng.normal(0, rng.uniform(0.5, 15.0), 17)
+            kps[k, :, 2] = 0.9
+            scores[k] = rng.uniform(0.05, 0.99)
+        preds[img] = D.Detections(np.tile([50.0, 50.0, 30.0, 30.0], (n_det, 1)),
+                                  scores, kps)
     return preds, gts
 
 
@@ -315,16 +312,18 @@ def oracle_ap50(preds_by_image, gts_by_image, sigmas):
     scores, flags = [], []
     n_gt = 0
     for img in sorted(set(preds_by_image) | set(gts_by_image)):
-        dets = sorted(preds_by_image.get(img, []), key=lambda d: -d.score)[:20]
+        dets = preds_by_image.get(img)
+        ranked = sorted(range(len(dets)) if dets else (),
+                        key=lambda d: -dets.scores[d])[:20]
         gts = [g for g in gts_by_image.get(img, []) if np.any(g.visible)]
         n_gt += len(gts)
-        matrix = np.array([[D.oks(d.keypoints, g, sigmas) for g in gts]
-                           for d in dets]).reshape(len(dets), len(gts))
-        best_key, best_flags = None, [0] * len(dets)
-        for r in range(min(len(dets), len(gts)), -1, -1):
-            for det_subset in itertools.combinations(range(len(dets)), r):
+        matrix = np.array([[D.oks(dets.keypoints[d], g, sigmas) for g in gts]
+                           for d in ranked]).reshape(len(ranked), len(gts))
+        best_key, best_flags = None, [0] * len(ranked)
+        for r in range(min(len(ranked), len(gts)), -1, -1):
+            for det_subset in itertools.combinations(range(len(ranked)), r):
                 for perm in itertools.permutations(range(len(gts)), r):
-                    vals = [-1.0] * len(dets)
+                    vals = [-1.0] * len(ranked)
                     valid = True
                     for d_i, g_i in zip(det_subset, perm):
                         if matrix[d_i, g_i] >= t:
@@ -335,7 +334,7 @@ def oracle_ap50(preds_by_image, gts_by_image, sigmas):
                     if valid and (best_key is None or tuple(vals) > best_key):
                         best_key = tuple(vals)
                         best_flags = [1 if v >= 0 else 0 for v in vals]
-        scores.extend(d.score for d in dets)
+        scores.extend(float(dets.scores[d]) for d in ranked)
         flags.extend(best_flags)
     if n_gt == 0 or not scores:
         return 0.0
@@ -411,9 +410,8 @@ def check_decode_round_trip():
         if len(dets) != 1:
             return CheckResult("decode-round-trip", False,
                                f"target {idx}: {len(dets)} detections")
-        d = dets[0]
-        err = max(np.max(np.abs(np.asarray(d.box) - (bx, by, bw, bh))),
-                  np.max(np.abs(d.keypoints[:, :2] - kps[:, :2])))
+        err = max(np.max(np.abs(dets.boxes[0] - (bx, by, bw, bh))),
+                  np.max(np.abs(dets.keypoints[0, :, :2] - kps[:, :2])))
         worst = max(worst, float(err))
         if err > 1e-5:
             return CheckResult("decode-round-trip", False,

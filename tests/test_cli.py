@@ -105,6 +105,19 @@ class TestForwardCommand:
         assert all(d["image_id"] == 9 for d in dets)
         assert all(len(d["keypoints"]) == 51 for d in dets)
 
+    def test_no_detection_writes_empty_array(self, mini_cfg_file, tmp_path, rng):
+        cfg = ModelConfig.from_file(mini_cfg_file)
+        weights = tmp_path / "w.drsi"
+        save_weights(build_model(cfg, seed=0), weights)
+        image_path = tmp_path / "img.f32"
+        rng.uniform(0, 1, (1, 3, 64, 64)).astype("<f4").tofile(image_path)
+        out_path = tmp_path / "dets.json"
+        assert main(["forward", "--config", str(mini_cfg_file),
+                     "--weights", str(weights), "--image", str(image_path),
+                     "--shape", "1,3,64,64", "--out", str(out_path),
+                     "--conf", "1.0"]) == 0
+        assert out_path.read_text() == "[]"
+
     def test_wrong_size_image(self, mini_cfg_file, tmp_path, rng):
         cfg = ModelConfig.from_file(mini_cfg_file)
         model = build_model(cfg, seed=0)
@@ -191,6 +204,90 @@ class TestEvalCommand:
         assert main(["eval", "--gt", paths["gt"], "--pred", paths["pred"],
                      "--sigmas", paths["sig"]]) == 0
         assert "AP 1.0000" in capsys.readouterr().out
+
+
+_GT_KPS = [50.0, 50.0, 2.0] + [0.0] * 48
+_PRED_KPS = [50.0, 50.0, 0.9] * 17
+
+
+def _forward_case(image):
+    def make(tmp_path, cfg_path, weights):
+        image_path = tmp_path / "img.f32"
+        image.astype("<f4").tofile(image_path)
+        return ["forward", "--config", str(cfg_path), "--weights", str(weights),
+                "--image", str(image_path), "--shape", "1,3,64,64",
+                "--out", str(tmp_path / "o.json")]
+    return make
+
+
+_GOOD_GT = json.dumps({"annotations": [{"image_id": 1, "keypoints": _GT_KPS,
+                                        "area": 400.0}]})
+_GOOD_PRED = json.dumps([{"image_id": 1, "score": 0.5, "keypoints": _PRED_KPS}])
+
+
+def _eval_case(pred_text, gt_text=_GOOD_GT):
+    """An eval call; ``pred_text`` None leaves the results file unwritten."""
+    def make(tmp_path, cfg_path, weights):
+        (tmp_path / "gt.json").write_text(gt_text)
+        if pred_text is not None:
+            (tmp_path / "pred.json").write_text(pred_text)
+        return ["eval", "--gt", str(tmp_path / "gt.json"),
+                "--pred", str(tmp_path / "pred.json")]
+    return make
+
+
+_NAN_IMAGE = np.full((1, 3, 64, 64), np.nan)
+_INF_PIXEL = np.zeros((1, 3, 64, 64))
+_INF_PIXEL[0, 1, 5, 7] = np.inf
+
+# name -> (argv builder, exit code, text the one-line message must hold)
+MALFORMED = {
+    "all-nan image": (_forward_case(_NAN_IMAGE), 1, "non-finite"),
+    "one inf pixel": (_forward_case(_INF_PIXEL), 1, "1 non-finite"),
+    "image size mismatch": (_forward_case(np.zeros(10)), 1, "shape needs 12288"),
+    "result without keypoints": (
+        _eval_case('[{"image_id": 1, "score": 0.5}]'), 1, "missing 'keypoints'"),
+    "result without image_id": (
+        _eval_case(_GOOD_PRED.replace('"image_id": 1, ', "")), 1, "missing 'image_id'"),
+    "result without score": (
+        _eval_case(_GOOD_PRED.replace('"score": 0.5, ', "")), 1, "missing 'score'"),
+    "result with NaN score": (
+        _eval_case(_GOOD_PRED.replace("0.5", "NaN")), 1, "must be finite"),
+    "results not an array": (_eval_case('{"image_id": 1}'), 1, "JSON array"),
+    "results not JSON": (_eval_case("[{broken"), 1, "error: "),
+    "ground truth area 0": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace("400.0", "0")), 1, "area must be > 0"),
+    "ground truth without keypoints": (
+        _eval_case(_GOOD_PRED, '{"annotations": [{"image_id": 1, "area": 4.0}]}'), 1,
+        "missing 'keypoints'"),
+    "missing results file": (_eval_case(None), 2, "i/o error: "),
+}
+
+
+class TestMalformedInput:
+    """Each malformed input ends with exit 1 (validation) or 2 (I/O) and one
+    line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_line_exit_code(self, case, mini_cfg_file, tmp_path, capsys,
+                                monkeypatch):
+        make, code, text = MALFORMED[case]
+        weights = tmp_path / "w.drsi"
+        save_weights(build_model(ModelConfig.from_file(mini_cfg_file), seed=0), weights)
+        argv = make(tmp_path, mini_cfg_file, weights)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built for a rejected input")
+        monkeypatch.setattr(cli, "build_model", no_build)
+        capsys.readouterr()
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got in (1, 2) and got == code
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert text in err
 
 
 class TestGradcheckCommand:

@@ -1,21 +1,27 @@
 """Anchor decoding round trips, NMS, keypoint similarity and the AP/AR
-protocol against an exhaustive-matching oracle."""
+protocol against an exhaustive-matching oracle; the array path against the
+per-object decode, NMS and writer it replaced."""
 
 import itertools
 import json
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from drsinet.decode import (
-    DEFAULT_FALLOFF, Detection, GroundTruthInstance, KeypointSigmas,
-    OKS_THRESHOLDS, box_iou, decode, encode, evaluate, nms, oks,
+    DEFAULT_FALLOFF, Detections, FormatError, GroundTruthInstance,
+    KeypointSigmas, OKS_THRESHOLDS, box_iou, decode, encode, evaluate, nms, oks,
     read_ground_truth, read_results, write_results,
 )
-from drsinet.tensor import DomainError
+from drsinet.network import ModelConfig, build_model
+from drsinet.tensor import DomainError, ShapeError, tensor
 
 ANCHORS = ((19, 27), (44, 40), (38, 94))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def single_target_head(logits, anchor_idx, cell, grid, num_keypoints=17):
@@ -42,14 +48,155 @@ def make_gt(rng, num_keypoints=17, center=(50.0, 50.0), spread=20.0,
                                      2 * spread, 2 * spread))
 
 
+def one(box, score, keypoints):
+    """A one-row Detections."""
+    return Detections([box], [score], [keypoints])
+
+
 def perturbed_detection(rng, gt, noise, score):
     kps = gt.keypoints.copy()
     kps[:, 0] += rng.normal(0, noise, kps.shape[0])
     kps[:, 1] += rng.normal(0, noise, kps.shape[0])
     kps[:, 2] = 0.9
     x, y, w, h = gt.bbox
-    return Detection(box=(x + w / 2, y + h / 2, w, h), objectness=score,
-                     class_score=1.0, keypoints=kps)
+    return one((x + w / 2, y + h / 2, w, h), score, kps)
+
+
+def boxes_only(boxes, scores):
+    boxes = np.asarray(boxes, dtype=np.float64)
+    return Detections(boxes, scores, np.full((len(boxes), 17, 3), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the per-object decode, NMS and writer the array path replaced: oracles
+# ---------------------------------------------------------------------------
+
+@dataclass
+class OldDetection:
+    box: tuple
+    objectness: float
+    class_score: float
+    keypoints: np.ndarray
+
+    @property
+    def score(self):
+        return self.objectness * self.class_score
+
+    @property
+    def area(self):
+        return self.box[2] * self.box[3]
+
+
+def old_decode(head, stride, anchors, conf_threshold, num_keypoints=17):
+    data = head.numpy() if hasattr(head, "numpy") else np.asarray(head)
+    fields = 5 + 1 + 3 * num_keypoints
+    n_anchor = len(anchors)
+    _, _, h, w = data.shape
+    t = data.reshape(n_anchor, fields, h, w).astype(np.float64)
+    jj = np.arange(w).reshape(1, 1, w)
+    ii = np.arange(h).reshape(1, h, 1)
+    s = float(stride)
+    sig = expit(t)
+    obj = sig[:, 4]
+    cls = sig[:, 5]
+    keep = obj * cls >= conf_threshold
+    aw = np.array([a[0] for a in anchors], dtype=np.float64).reshape(-1, 1, 1)
+    ah = np.array([a[1] for a in anchors], dtype=np.float64).reshape(-1, 1, 1)
+    bx = (2.0 * sig[:, 0] - 0.5 + jj) * s
+    by = (2.0 * sig[:, 1] - 0.5 + ii) * s
+    bw = (2.0 * sig[:, 2]) ** 2 * aw
+    bh = (2.0 * sig[:, 3]) ** 2 * ah
+    kx = ((2.0 * sig[:, 6::3] - 0.5) * 4.0 - 1.5 + jj) * s
+    ky = ((2.0 * sig[:, 7::3] - 0.5) * 4.0 - 1.5 + ii) * s
+    kc = sig[:, 8::3]
+    dets = []
+    for a, i, j in zip(*np.nonzero(keep)):
+        kps = np.stack([kx[a, :, i, j], ky[a, :, i, j], kc[a, :, i, j]], axis=1)
+        dets.append(OldDetection(
+            box=(float(bx[a, i, j]), float(by[a, i, j]),
+                 float(bw[a, i, j]), float(bh[a, i, j])),
+            objectness=float(obj[a, i, j]), class_score=float(cls[a, i, j]),
+            keypoints=kps))
+    return dets
+
+
+def old_box_iou(a, b):
+    def corners(box):
+        cx, cy, w, h = box
+        return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union
+
+
+def old_nms(dets, iou_threshold):
+    order = sorted(range(len(dets)), key=lambda k: -dets[k].score)
+    kept = []
+    for k in order:
+        if all(old_box_iou(dets[k].box, dets[j].box) <= iou_threshold for j in kept):
+            kept.append(k)
+    return [dets[k] for k in sorted(kept)]
+
+
+def old_write_results(dets_by_image, path, category_id=1):
+    items = []
+    for image_id in sorted(dets_by_image):
+        for det in dets_by_image[image_id]:
+            cx, cy, w, h = det.box
+            items.append({
+                "image_id": int(image_id),
+                "category_id": int(category_id),
+                "bbox": [cx - w / 2.0, cy - h / 2.0, w, h],
+                "score": det.score,
+                "area": det.area,
+                "keypoints": [float(v) for v in det.keypoints.reshape(-1)],
+            })
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(items, fh)
+
+
+def old_oks(pred, gt, falloff=DEFAULT_FALLOFF):
+    d2 = ((pred[:, 0] - gt.keypoints[:, 0]) ** 2
+          + (pred[:, 1] - gt.keypoints[:, 1]) ** 2)
+    terms = np.exp(-d2 / (2.0 * float(gt.area) * falloff ** 2))
+    return float(terms[gt.visible].mean())
+
+
+def old_objects(dets):
+    return [OldDetection(tuple(b), float(s), 1.0, k)
+            for b, s, k in zip(dets.boxes.tolist(), dets.scores, dets.keypoints)]
+
+
+class TestDetections:
+    def test_checks(self):
+        kps = np.full((2, 17, 3), 0.5)
+        with pytest.raises(ShapeError):
+            Detections(np.ones((2, 4)), np.ones(2), np.ones((2, 17)))
+        with pytest.raises(ShapeError):
+            Detections(np.ones((3, 4)), np.ones(2), kps)
+        with pytest.raises(ShapeError):
+            Detections(np.ones((2, 4)), np.ones(3), kps)
+        with pytest.raises(DomainError):
+            Detections([[1, 1, 2, 2], [1, 1, 0, 2]], np.ones(2), kps)
+        with pytest.raises(DomainError):
+            Detections([[1, 1, 2, -2], [1, 1, 2, 2]], np.ones(2), kps)
+
+    def test_select_and_concatenate(self, rng):
+        a = boxes_only(rng.uniform(1, 9, (4, 4)), rng.uniform(0, 1, 4))
+        b = boxes_only(rng.uniform(1, 9, (2, 4)), rng.uniform(0, 1, 2))
+        both = Detections.concatenate([a, b])
+        assert len(both) == 6 and both.keypoints.shape == (6, 17, 3)
+        np.testing.assert_array_equal(both.scores, np.r_[a.scores, b.scores])
+        picked = both[np.array([5, 0])]
+        np.testing.assert_array_equal(picked.boxes, np.stack([b.boxes[1], a.boxes[0]]))
+        assert len(both[np.zeros(0, dtype=np.intp)]) == 0
+        np.testing.assert_array_equal(both.area, both.boxes[:, 2] * both.boxes[:, 3])
 
 
 class TestDecode:
@@ -57,19 +204,21 @@ class TestDecode:
         head = single_target_head(np.zeros(57), 0, (0, 0), grid=4)
         dets = decode(head, stride=8, anchors=ANCHORS, conf_threshold=0.2)
         assert len(dets) == 1
-        d = dets[0]
-        assert d.box[0] == pytest.approx(4.0, abs=1e-9)
-        assert d.box[1] == pytest.approx(4.0, abs=1e-9)
-        assert d.box[2] == pytest.approx(ANCHORS[0][0], abs=1e-9)
-        assert d.box[3] == pytest.approx(ANCHORS[0][1], abs=1e-9)
-        assert d.objectness == pytest.approx(0.5)
-        np.testing.assert_allclose(d.keypoints[:, 0], 4.0, atol=1e-9)
-        np.testing.assert_allclose(d.keypoints[:, 1], 4.0, atol=1e-9)
-        np.testing.assert_allclose(d.keypoints[:, 2], 0.5, atol=1e-9)
+        box = dets.boxes[0]
+        assert box[0] == pytest.approx(4.0, abs=1e-9)
+        assert box[1] == pytest.approx(4.0, abs=1e-9)
+        assert box[2] == pytest.approx(ANCHORS[0][0], abs=1e-9)
+        assert box[3] == pytest.approx(ANCHORS[0][1], abs=1e-9)
+        assert dets.scores[0] == pytest.approx(0.25)   # objectness 0.5 x class 0.5
+        np.testing.assert_allclose(dets.keypoints[0, :, 0], 4.0, atol=1e-9)
+        np.testing.assert_allclose(dets.keypoints[0, :, 1], 4.0, atol=1e-9)
+        np.testing.assert_allclose(dets.keypoints[0, :, 2], 0.5, atol=1e-9)
 
     def test_threshold_one_empty(self, rng):
         head = rng.normal(size=(1, 171, 4, 4)).astype(np.float32)
-        assert decode(head, 8, ANCHORS, conf_threshold=1.0) == []
+        dets = decode(head, 8, ANCHORS, conf_threshold=1.0)
+        assert len(dets) == 0
+        assert dets.boxes.shape == (0, 4) and dets.keypoints.shape == (0, 17, 3)
 
     @pytest.mark.parametrize("stride", [8, 16, 32, 64])
     def test_encode_decode_round_trip(self, stride, rng):
@@ -93,62 +242,125 @@ class TestDecode:
             dets = decode(single_target_head(logits, a_idx, (i, j), grid),
                           s, ANCHORS, conf_threshold=0.5)
             assert len(dets) == 1
-            d = dets[0]
-            np.testing.assert_allclose(d.box, (bx, by, bw, bh), atol=1e-5)
-            np.testing.assert_allclose(d.keypoints[:, :2], kps[:, :2], atol=1e-5)
+            np.testing.assert_allclose(dets.boxes[0], (bx, by, bw, bh), atol=1e-5)
+            np.testing.assert_allclose(dets.keypoints[0, :, :2], kps[:, :2], atol=1e-5)
+            assert dets.scores[0] == pytest.approx(0.81)
 
     def test_encode_rejects_out_of_range(self):
         kps = np.full((17, 3), 0.5)
         with pytest.raises(DomainError):
             encode((1000.0, 4.0, 19.0, 27.0), kps, 8, ANCHORS[0], (0, 0))
 
+    def test_matches_per_object_decode(self, rng):
+        head = rng.normal(0, 2, size=(1, 171, 6, 5)).astype(np.float32)
+        new = decode(head, 16, ANCHORS, 0.3)
+        old = old_decode(head, 16, ANCHORS, 0.3)
+        assert len(new) == len(old) > 0
+        np.testing.assert_array_equal(new.boxes, [d.box for d in old])
+        np.testing.assert_array_equal(new.scores, [d.score for d in old])
+        np.testing.assert_array_equal(new.keypoints, [d.keypoints for d in old])
+
 
 class TestNms:
     def test_identical_boxes_one_survivor(self):
-        kps = np.full((17, 3), 0.5)
-        a = Detection((10, 10, 4, 4), 0.9, 1.0, kps)
-        b = Detection((10, 10, 4, 4), 0.8, 1.0, kps)
-        kept = nms([b, a], 0.5)
-        assert len(kept) == 1 and kept[0].score == a.score
+        kept = nms(boxes_only([(10, 10, 4, 4)] * 2, [0.8, 0.9]), 0.5)
+        assert len(kept) == 1 and kept.scores[0] == 0.9
 
     def test_tie_keeps_first(self):
-        kps = np.full((17, 3), 0.5)
-        a = Detection((10, 10, 4, 4), 0.9, 1.0, kps)
-        b = Detection((10, 10, 4, 4), 0.9, 1.0, kps)
-        kept = nms([a, b], 0.5)
-        assert len(kept) == 1 and kept[0] is a
+        dets = boxes_only([(10, 10, 4, 4)] * 2, [0.9, 0.9])
+        dets.keypoints[1] = 0.25
+        kept = nms(dets, 0.5)
+        assert len(kept) == 1
+        np.testing.assert_array_equal(kept.keypoints[0], dets.keypoints[0])
 
     def test_disjoint_all_kept(self):
-        kps = np.full((17, 3), 0.5)
-        dets = [Detection((10 + 20 * k, 10, 4, 4), 0.5 + 0.1 * k, 1.0, kps)
-                for k in range(3)]
+        dets = boxes_only([(10 + 20 * k, 10, 4, 4) for k in range(3)],
+                          [0.5 + 0.1 * k for k in range(3)])
         assert len(nms(dets, 0.5)) == 3
 
     def test_iou_boundary_case(self):
         # corner boxes (0,0)-(2,2) and (1,1)-(3,3): intersection 1, union 7
-        a = Detection((1, 1, 2, 2), 0.9, 1.0, np.full((17, 3), 0.5))
-        b = Detection((2, 2, 2, 2), 0.8, 1.0, np.full((17, 3), 0.5))
-        assert box_iou(a.box, b.box) == pytest.approx(1.0 / 7.0, abs=1e-12)
-        assert len(nms([a, b], 0.5)) == 2
-        assert len(nms([a, b], 0.1)) == 1
+        dets = boxes_only([(1, 1, 2, 2), (2, 2, 2, 2)], [0.9, 0.8])
+        assert box_iou(dets.boxes[0], dets.boxes[1]) == pytest.approx(1.0 / 7.0, abs=1e-12)
+        assert len(nms(dets, 0.5)) == 2
+        assert len(nms(dets, 0.1)) == 1
 
     def test_invalid_threshold(self):
         with pytest.raises(DomainError):
-            nms([], 0.0)
+            nms(boxes_only(np.zeros((0, 4)), []), 0.0)
+
+    def test_empty(self):
+        assert len(nms(boxes_only(np.zeros((0, 4)), []), 0.5)) == 0
 
     def test_subset_pairwise_idempotent(self, rng):
-        kps = np.full((17, 3), 0.5)
-        dets = [Detection((float(rng.uniform(0, 40)), float(rng.uniform(0, 40)),
-                           float(rng.uniform(2, 10)), float(rng.uniform(2, 10))),
-                          float(rng.uniform(0.1, 0.99)), 1.0, kps)
-                for _ in range(25)]
+        dets = boxes_only(np.column_stack([rng.uniform(0, 40, (25, 2)),
+                                           rng.uniform(2, 10, (25, 2))]),
+                          rng.uniform(0.1, 0.99, 25))
         kept = nms(dets, 0.4)
-        ids = {id(d) for d in dets}
-        assert all(id(d) in ids for d in kept)
-        for a, b in itertools.combinations(kept, 2):
-            assert box_iou(a.box, b.box) <= 0.4
+        rows = {tuple(b) for b in dets.boxes.tolist()}
+        assert all(tuple(b) in rows for b in kept.boxes.tolist())
+        iou = box_iou(kept.boxes[:, None], kept.boxes[None, :])
+        assert np.all(iou[~np.eye(len(kept), dtype=bool)] <= 0.4)
         again = nms(kept, 0.4)
-        assert [id(d) for d in again] == [id(d) for d in kept]
+        np.testing.assert_array_equal(again.boxes, kept.boxes)
+
+    def test_box_iou_pairwise_matches_scalar(self, rng):
+        a = np.column_stack([rng.integers(0, 12, (30, 2)), rng.integers(1, 8, (30, 2))])
+        b = np.column_stack([rng.integers(0, 12, (20, 2)), rng.integers(1, 8, (20, 2))])
+        got = box_iou(a[:, None], b[None, :])
+        assert got.shape == (30, 20)
+        want = [[old_box_iou(tuple(p), tuple(q)) for q in b.tolist()] for p in a.tolist()]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("iou", [0.3, 0.5, 0.65])
+    def test_matches_per_object_nms(self, seed, iou):
+        # integer-grid boxes and coarse scores: many duplicate boxes and
+        # exact score ties
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        boxes = np.column_stack([rng.integers(0, 30, (n, 2)),
+                                 rng.integers(1, 10, (n, 2))]).astype(np.float64)
+        dets = boxes_only(boxes, rng.integers(1, 8, n) / 8.0)
+        dets.keypoints[:, 0, 0] = np.arange(n)      # row tag
+        objs = old_objects(dets)
+        kept = {id(d) for d in old_nms(objs, iou)}
+        want = [k for k, d in enumerate(objs) if id(d) in kept]
+        assert nms(dets, iou).keypoints[:, 0, 0].tolist() == want
+
+
+class TestForwardJson:
+    @pytest.mark.parametrize("size", [128, 192])
+    def test_byte_identical_to_per_object_path(self, size, tmp_path):
+        cfg = ModelConfig.from_file(ROOT / "configs" / "mini.json")
+        model = build_model(cfg, seed=0)
+        frame = np.random.default_rng(size).standard_normal((1, 3, size, size))
+        heads = model(tensor(frame.astype(np.float32)))
+        levels = list(zip(heads, cfg.strides, cfg.anchors))
+        old = []
+        for head, stride, anchors in levels:
+            old.extend(old_decode(head, stride, anchors, 0.25))
+        old_write_results({3: old_nms(old, 0.65)}, tmp_path / "old.json")
+        new = Detections.concatenate([decode(head, stride, anchors, 0.25)
+                                      for head, stride, anchors in levels])
+        kept = nms(new, 0.65)
+        write_results({3: kept}, tmp_path / "new.json")
+        assert len(new) == len(old) and 0 < len(kept) < len(new)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    def test_images_without_detections(self, tmp_path):
+        head = np.full((1, 3 * 57, 4, 4), -20.0)
+        empty = decode(head, 8, [(10, 13), (16, 30), (33, 23)], 0.25)
+        assert len(empty) == 0
+        old_write_results({1: []}, tmp_path / "old.json")
+        write_results({1: empty}, tmp_path / "new.json")
+        assert (tmp_path / "new.json").read_bytes() == b"[]"
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        rng = np.random.default_rng(5)
+        dets = perturbed_detection(rng, make_gt(rng), 1.0, 0.7)
+        old_write_results({1: [], 2: old_objects(dets), 3: []}, tmp_path / "old.json")
+        write_results({1: empty, 2: dets, 3: empty}, tmp_path / "new.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 class TestOks:
@@ -192,15 +404,28 @@ class TestOks:
 
     def test_translation_invariance(self, rng):
         gt = make_gt(rng, all_visible=True)
-        pred = perturbed_detection(rng, gt, 2.0, 0.9).keypoints
+        pred = perturbed_detection(rng, gt, 2.0, 0.9).keypoints[0]
         base = oks(pred, gt)
         shift = np.array([137.0, -55.0, 0.0])
         gt2 = GroundTruthInstance(keypoints=gt.keypoints + shift, area=gt.area)
         assert abs(oks(pred + shift, gt2) - base) <= 1e-12
 
+    def test_broadcast_matches_per_pair(self, rng):
+        gt = make_gt(rng)
+        preds = gt.keypoints + rng.normal(0, 4.0, (6, 5, 17, 3))
+        got = oks(preds, gt)
+        assert got.shape == (6, 5)
+        want = [[old_oks(p, gt) for p in row] for row in preds]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert oks(preds[2, 3], gt) == pytest.approx(want[2][3], rel=0, abs=1e-12)
+
+    def test_keypoint_count_mismatch(self, rng):
+        with pytest.raises(ShapeError):
+            oks(np.zeros((4, 16, 3)), make_gt(rng))
+
     def test_scale_consistency(self, rng):
         gt = make_gt(rng, all_visible=True)
-        pred = perturbed_detection(rng, gt, 2.0, 0.9).keypoints
+        pred = perturbed_detection(rng, gt, 2.0, 0.9).keypoints[0]
         base = oks(pred, gt)
         alpha = 3.5
         scaled = gt.keypoints.copy()
@@ -219,10 +444,11 @@ def oracle_ap50(preds_by_image, gts_by_image, sigmas):
     scores, flags = [], []
     n_gt = 0
     for img in sorted(set(preds_by_image) | set(gts_by_image)):
-        dets = sorted(preds_by_image.get(img, []), key=lambda d: -d.score)[:20]
+        dets = old_objects(preds_by_image[img]) if img in preds_by_image else []
+        dets = sorted(dets, key=lambda d: -d.score)[:20]
         gts = [g for g in gts_by_image.get(img, []) if np.any(g.visible)]
         n_gt += len(gts)
-        matrix = np.array([[oks(d.keypoints, g, sigmas) for g in gts]
+        matrix = np.array([[old_oks(d.keypoints, g, sigmas.falloff) for g in gts]
                            for d in dets]).reshape(len(dets), len(gts))
         best_tuple, best_flags = None, [0] * len(dets)
         gt_idx = list(range(len(gts)))
@@ -271,9 +497,9 @@ class TestEvaluate:
         pred_kps = kps.copy()
         pred_kps[0, 0] += d
         pred_kps[:, 2] = 0.9
-        det = Detection((50, 50, 20, 20), 0.9, 1.0, pred_kps)
+        det = one((50, 50, 20, 20), 0.9, pred_kps)
         assert 0.50 < oks(pred_kps, gt) < 0.55
-        metrics = evaluate({0: [det]}, {0: [gt]})
+        metrics = evaluate({0: det}, {0: [gt]})
         assert metrics["AP50"] == 1.0
         assert metrics["AP75"] == 0.0
         assert metrics["AP"] == pytest.approx(0.1, abs=1e-12)
@@ -289,13 +515,10 @@ class TestEvaluate:
             instances = [make_gt(rng, center=(40.0 + 30 * k, 50.0))
                          for k in range(2)]
             gts[img] = instances
-            preds[img] = []
-            for g in instances:
-                kps = g.keypoints.copy()
-                kps[:, 2] = 0.95
-                x, y, w, h = g.bbox
-                preds[img].append(Detection((x + w / 2, y + h / 2, w, h),
-                                            0.9, 1.0, kps))
+            kps = np.stack([g.keypoints for g in instances])
+            kps[:, :, 2] = 0.95
+            boxes = [(x + w / 2, y + h / 2, w, h) for x, y, w, h in (g.bbox for g in instances)]
+            preds[img] = Detections(boxes, [0.9] * len(instances), kps)
         metrics = evaluate(preds, gts)
         assert metrics["AP"] == 1.0
         assert metrics["AP50"] == 1.0 and metrics["AP75"] == 1.0
@@ -312,12 +535,14 @@ class TestEvaluate:
                 gts[img] = [make_gt(rng, center=tuple(rng.uniform(20, 120, 2)),
                                     area=float(rng.uniform(100, 2500)))
                             for _ in range(n_gt)]
-                preds[img] = []
+                dets = []
                 for k in range(n_det):
                     target = gts[img][k % n_gt] if n_gt else make_gt(rng)
-                    preds[img].append(perturbed_detection(
+                    dets.append(perturbed_detection(
                         rng, target, noise=float(rng.uniform(0.5, 15.0)),
                         score=float(rng.uniform(0.05, 0.99))))
+                if dets:
+                    preds[img] = Detections.concatenate(dets)
             got = evaluate(preds, gts, sigmas)["AP50"]
             want = oracle_ap50(preds, gts, sigmas)
             assert got == want, f"case {case}: {got} != {want}"
@@ -327,7 +552,8 @@ class TestEvaluate:
         large = make_gt(rng, center=(120, 120), area=150.0 ** 2)
         det_small = perturbed_detection(rng, small, 0.5, 0.9)
         det_large = perturbed_detection(rng, large, 0.5, 0.8)
-        metrics = evaluate({0: [det_small, det_large]}, {0: [small, large]})
+        metrics = evaluate({0: Detections.concatenate([det_small, det_large])},
+                           {0: [small, large]})
         assert metrics["APL"] == 1.0 and metrics["AP"] == 1.0
 
 
@@ -336,12 +562,70 @@ class TestCocoFiles:
         gt = make_gt(rng, all_visible=True)
         det = perturbed_detection(rng, gt, 1.0, 0.7)
         path = tmp_path / "results.json"
-        write_results({3: [det]}, path)
+        write_results({3: det}, path)
         back = read_results(path)
         assert list(back) == [3]
-        np.testing.assert_allclose(back[3][0].keypoints, det.keypoints)
-        assert back[3][0].score == pytest.approx(det.score)
-        np.testing.assert_allclose(back[3][0].box, det.box)
+        np.testing.assert_allclose(back[3].keypoints, det.keypoints)
+        np.testing.assert_allclose(back[3].scores, det.scores)
+        np.testing.assert_allclose(back[3].boxes, det.boxes)
+
+    def test_missing_bbox_takes_keypoint_extent(self, tmp_path):
+        wide = [10.0, 20.0, 0.9] * 17
+        wide[3:5] = [40.0, 25.0]
+        flat = [10.0, 20.0, 0.9] * 17
+        flat[:2] = [30.0, 20.5]
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([
+            {"image_id": 1, "score": 0.5, "keypoints": wide},
+            {"image_id": 1, "score": 0.4, "keypoints": flat},
+            {"image_id": 1, "score": 0.3, "keypoints": wide,
+             "bbox": [1.0, 2.0, 3.0, 4.0]},
+            {"image_id": 2, "score": 0.2, "keypoints": wide}]))
+        results = read_results(path)
+        np.testing.assert_array_equal(results[2].boxes, [[25.0, 22.5, 30.0, 5.0]])
+        dets = results[1]
+        # the 0.5 px tall extent is raised to 1 px
+        np.testing.assert_array_equal(dets.boxes, [[25.0, 22.5, 30.0, 5.0],
+                                                   [20.0, 20.5, 20.0, 1.0],
+                                                   [2.5, 4.0, 3.0, 4.0]])
+        np.testing.assert_array_equal(dets.scores, [0.5, 0.4, 0.3])
+
+    @pytest.mark.parametrize("payload", [
+        [{"image_id": 1, "score": 0.5}],
+        [{"image_id": 1, "keypoints": [1.0, 2.0, 0.5]}],
+        [{"score": 0.5, "keypoints": [1.0, 2.0, 0.5]}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0]}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5]},
+         {"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5] * 2}],
+        [{"image_id": 1, "score": 0.5, "keypoints": []}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5],
+          "bbox": [0.0, 0.0, 1.0]}],
+        [{"image_id": 1, "score": "high", "keypoints": [1.0, 2.0, 0.5]}],
+        [{"image_id": 1, "score": float("nan"), "keypoints": [1.0, 2.0, 0.5]}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, float("inf"), 0.5]}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, float("nan")]}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5],
+          "bbox": [0.0, float("-inf"), 1.0, 1.0]}],
+        [[1, 0.5]],
+        {"image_id": 1},
+    ])
+    def test_malformed_results_rejected(self, payload, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError):
+            read_results(path)
+
+    @pytest.mark.parametrize("payload", [
+        {"annotations": [{"image_id": 1, "area": 10.0}]},
+        {"annotations": [{"keypoints": [1.0, 2.0, 2.0], "area": 10.0}]},
+        {"images": []},
+        [5],
+    ])
+    def test_malformed_ground_truth_rejected(self, payload, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError):
+            read_ground_truth(path)
 
     def test_ground_truth_ignores_unknown_fields(self, tmp_path):
         ann = {"annotations": [{

@@ -23,21 +23,20 @@ def test_forward_decode_eval_pipeline(tmp_path, rng):
     x = tensor(rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32))
     outs = model(x)
 
-    dets = []
-    for head, stride, anchors in zip(outs, cfg.strides, cfg.anchors):
-        dets.extend(D.decode(head, stride, anchors, conf_threshold=0.2))
-    assert dets
+    dets = D.Detections.concatenate([
+        D.decode(head, stride, anchors, conf_threshold=0.2)
+        for head, stride, anchors in zip(outs, cfg.strides, cfg.anchors)])
+    assert len(dets)
     kept = D.nms(dets, 0.65)
-    assert kept
+    assert len(kept)
 
     # the top detection, treated as its own annotation, must score OKS 1.0
-    top = max(kept, key=lambda d: d.score)
-    gt_kps = top.keypoints.copy()
+    top = int(np.argmax(kept.scores))
+    gt_kps = kept.keypoints[top].copy()
     gt_kps[:, 2] = 2
-    gt = D.GroundTruthInstance(keypoints=gt_kps, area=top.area,
-                               bbox=(top.box[0] - top.box[2] / 2,
-                                     top.box[1] - top.box[3] / 2,
-                                     top.box[2], top.box[3]))
+    cx, cy, w, h = kept.boxes[top]
+    gt = D.GroundTruthInstance(keypoints=gt_kps, area=kept.area[top],
+                               bbox=(cx - w / 2, cy - h / 2, w, h))
     results = tmp_path / "dets.json"
     D.write_results({0: kept}, results)
     reread = D.read_results(results)

@@ -26,7 +26,7 @@ def test_root_api_smoke(rng):
     assert len(outs) == 4
     dets = drsinet.decode.decode(outs[0], cfg.strides[0], cfg.anchors[0],
                                  conf_threshold=0.2)
-    assert all(d.score >= 0.2 for d in dets)
+    assert np.all(dets.scores >= 0.2)
 
 
 def test_all_exports_resolve():
