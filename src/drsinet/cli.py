@@ -1,7 +1,6 @@
 """Command-line surface: profiling, tracing, forwards, evaluation, checks.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O error.  The environment
-variable ``DRSI_SEED`` overrides the default build seed 0.
+Exit codes: 0 success, 1 validation failure, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from . import decode as D
 from . import profiler as P
 from . import selftest as S
-from .network import ConfigError, ModelConfig, build_model
+from .network import ConfigError, Model, ModelConfig
 from .tensor import DomainError, tensor
 
 
@@ -27,10 +26,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _default_seed():
-    return int(os.environ.get("DRSI_SEED", "0"))
 
 
 def _build_parser():
@@ -54,8 +49,10 @@ def _build_parser():
     p.add_argument("--shape", required=True,
                    help="image dims as N,C,H,W (e.g. 1,3,960,960)")
     p.add_argument("--out", required=True, help="detections JSON path")
-    p.add_argument("--conf", type=float, default=0.25)
-    p.add_argument("--iou", type=float, default=0.65)
+    p.add_argument("--conf", type=float, default=0.25,
+                   help="score threshold in [0, 1]")
+    p.add_argument("--iou", type=float, default=0.65,
+                   help="NMS IoU threshold in (0, 1)")
     p.add_argument("--image-id", type=int, default=0)
 
     p = sub.add_parser("eval", help="AP/AR over COCO-style keypoint files")
@@ -67,7 +64,7 @@ def _build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--module", default="all",
                    choices=("tensor", "interactions", "blocks", "network", "all"))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("selftest", help="run the full property suite")
     p.add_argument("--quick", action="store_true",
@@ -97,6 +94,11 @@ def _cmd_trace(args):
 
 
 def _cmd_forward(args):
+    # NaN fails both range tests
+    if not 0.0 <= args.conf <= 1.0:
+        raise DomainError(f"--conf must be in [0, 1], got {args.conf}")
+    if not 0.0 < args.iou < 1.0:
+        raise DomainError(f"--iou must be in (0, 1), got {args.iou}")
     cfg = _load_config(args.config)
     try:
         dims = tuple(int(v) for v in args.shape.split(","))
@@ -114,8 +116,8 @@ def _cmd_forward(args):
     if not np.isfinite(raw).all():
         raise DomainError(f"image file holds {np.count_nonzero(~np.isfinite(raw))} "
                           "non-finite values (NaN or inf)")
-    model = build_model(cfg, seed=_default_seed())
-    P.load_weights(model, args.weights)
+    # the archive sets every parameter, so the model needs no seeded init
+    model = P.load_weights(Model(cfg), args.weights)
     outs = model(tensor(raw.reshape(dims)))
     dets = D.Detections.concatenate([
         D.decode(head, stride, anchors, args.conf, num_keypoints=cfg.num_keypoints)
@@ -140,8 +142,7 @@ def _cmd_eval(args):
 
 
 def _cmd_gradcheck(args):
-    seed = args.seed if args.seed is not None else _default_seed()
-    results = S.run_gradchecks(args.module, seed)
+    results = S.run_gradchecks(args.module, args.seed)
     worst = 0.0
     for name, err, bound in results:
         status = "ok" if err <= bound else "FAIL"

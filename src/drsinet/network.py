@@ -46,6 +46,43 @@ class ConfigError(ValueError):
     """Model configuration violates an invariant or carries unknown keys."""
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list(v, item):
+    return isinstance(v, (list, tuple)) and all(item(x) for x in v)
+
+
+def _is_anchor_pair(v):
+    return _is_list(v, _is_number) and len(v) == 2
+
+
+_INT = (_is_int, "an integer")
+_STR = (lambda v: isinstance(v, str), "a string")
+_INTS = (lambda v: _is_list(v, _is_int), "a list of integers")
+_MULT = (lambda v: v is None or _is_number(v), "a number")
+
+# field -> (type test, what the message says the value must be)
+_FIELD_TYPES = {
+    "variant": _STR, "width_mult": _MULT, "depth_mult": _MULT,
+    "base_channels": _INTS, "base_depths": _INTS, "order_n": _INT,
+    "lambda_": (_is_number, "a number"), "neck": _STR, "strides": _INTS,
+    "anchors": (lambda v: _is_list(v, lambda level: _is_list(level, _is_anchor_pair)),
+                "a list of levels of [w, h] pairs"),
+    "expansion": _INT,
+    "sam_kernels": (lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
+                    "an object of integers"),
+    "num_keypoints": _INT, "channel_round": _INT, "cbam_reduction": _INT,
+    "residual_interactions": (lambda v: isinstance(v, bool), "true or false"),
+    "backbone_block": _STR, "note": _STR,
+}
+
+
 @dataclass
 class ModelConfig:
     """Declarative description of one model variant."""
@@ -70,6 +107,10 @@ class ModelConfig:
     note: str = ""
 
     def __post_init__(self):
+        for name, (ok, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name.rstrip('_')} must be {what}, got {value!r}")
         if self.variant in VARIANT_MULTS:
             d, w = VARIANT_MULTS[self.variant]
             if self.depth_mult is None:
@@ -81,9 +122,9 @@ class ModelConfig:
                 raise ConfigError("custom variant requires width_mult and depth_mult")
         else:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        self.base_channels = tuple(int(c) for c in self.base_channels)
-        self.base_depths = tuple(int(d) for d in self.base_depths)
-        self.strides = tuple(int(s) for s in self.strides)
+        self.base_channels = tuple(self.base_channels)
+        self.base_depths = tuple(self.base_depths)
+        self.strides = tuple(self.strides)
         self.anchors = tuple(tuple((float(w), float(h)) for w, h in level)
                              for level in self.anchors)
         self.validate()

@@ -25,6 +25,8 @@ returns add zero-cost ``backbone.P3``..``P6`` and ``neck.N3``..``N6`` rows.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -156,7 +158,12 @@ def save_weights(model, path):
             fh.write(payload.tobytes())
 
 
-def _read_exact(fh, n, what):
+def _read_exact(fh, n, what, size):
+    """Read ``n`` bytes of a file of ``size`` bytes; a header that claims more
+    than the file holds fails before anything is allocated."""
+    if n > size - fh.tell():
+        raise ArchiveError(f"truncated archive while reading {what}: "
+                           f"{n} bytes claimed, {size - fh.tell()} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise ArchiveError(f"truncated archive while reading {what}")
@@ -167,23 +174,24 @@ def read_archive(path):
     """Parse an archive into an ordered {name: array} mapping."""
     out = {}
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        size = os.fstat(fh.fileno()).st_size
+        magic = _read_exact(fh, 4, "magic", size)
         if magic != ARCHIVE_MAGIC:
             raise ArchiveError(f"bad magic {magic!r}, expected {ARCHIVE_MAGIC!r}")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
+        version, count = struct.unpack("<II", _read_exact(fh, 8, "header", size))
         if version != ARCHIVE_VERSION:
             raise ArchiveError(f"unsupported archive version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            dtype_tag, rank = struct.unpack("<BB", _read_exact(fh, 2, "entry header"))
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length", size))
+            name = _read_exact(fh, name_len, "name", size).decode("utf-8")
+            dtype_tag, rank = struct.unpack("<BB", _read_exact(fh, 2, "entry header", size))
             if dtype_tag != 0:
                 raise ArchiveError(f"unknown dtype tag {dtype_tag} for {name!r}")
             if not 1 <= rank <= 4:
                 raise ArchiveError(f"bad rank {rank} for {name!r}")
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            count_elems = int(np.prod(dims))
-            payload = _read_exact(fh, 4 * count_elems, f"payload of {name!r}")
+            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims", size))
+            count_elems = math.prod(dims)
+            payload = _read_exact(fh, 4 * count_elems, f"payload of {name!r}", size)
             if name in out:
                 raise ArchiveError(f"duplicate entry {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from contextvars import ContextVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -220,49 +221,48 @@ def _named_uniform(seed, name, shape):
 
 
 # ---------------------------------------------------------------------------
-# autodiff tape
+# autodiff tape and MAC counter
 # ---------------------------------------------------------------------------
 
-_ACTIVE_TAPE = None
-_MAC_COUNTER = None
+# The open tape and counter of the running thread; a thread starts with none,
+# so a tape or counter never sees work another thread runs.
+_ACTIVE_TAPE = ContextVar("drsinet_tape", default=None)
+_MAC_COUNTER = ContextVar("drsinet_mac_counter", default=None)
 
 
-class _Node:
-    __slots__ = ("output", "parents", "fn")
+class _Active:
+    """Context manager that makes ``self`` the one open instance of its kind
+    in the current thread; opening a second one raises ``_busy``."""
 
-    def __init__(self, output, parents, fn):
-        self.output = output
-        self.parents = parents
-        self.fn = fn
+    def __enter__(self):
+        if self._slot.get() is not None:
+            error, message = self._busy
+            raise error(message)
+        self._token = self._slot.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        self._slot.reset(self._token)
+        return False
 
 
-class Tape:
+class Tape(_Active):
     """Ordered record of primitive operations for one reverse replay.
 
     Use as a context manager around the forward; then call :meth:`backward`
     once.  Gradients of parameters are written to ``Parameter.grad``;
     gradients of plain input tensors are read back with :meth:`grad_for`.
+    Parents that are not tensors (a ``None`` bias, a plain-array gamma) get
+    no gradient.
     """
 
+    _slot = _ACTIVE_TAPE
+    _busy = (TapeError, "a tape is already active")
+
     def __init__(self):
-        self._nodes = []
+        self._nodes = []        # (output, parents, backward) per primitive call
         self._consumed = False
         self._grads = None
-
-    def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
-            raise TapeError("a tape is already active")
-        _ACTIVE_TAPE = self
-        return self
-
-    def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
-        return False
-
-    def _record(self, output, parents, fn):
-        self._nodes.append(_Node(output, parents, fn))
 
     def backward(self, output_grad, output=None):
         """Accumulate gradients of sum(output * output_grad) into all leaves."""
@@ -271,27 +271,27 @@ class Tape:
         if not self._nodes:
             raise TapeError("empty tape")
         self._consumed = True
-        root = output if output is not None else self._nodes[-1].output
+        root = output if output is not None else self._nodes[-1][0]
         if output_grad.shape != root.shape:
             raise ShapeError(
                 f"output_grad shape {output_grad.shape} != traced output {root.shape}")
         grads = {id(root): np.asarray(output_grad.data, dtype=root.dtype)}
-        produced = {id(n.output) for n in self._nodes}
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node.output), None)
+        produced = {id(out) for out, _, _ in self._nodes}
+        for out, parents, fn in reversed(self._nodes):
+            g = grads.pop(id(out), None)
             if g is None:
                 continue
-            for parent, pg in zip(node.parents, node.fn(g)):
-                if pg is None:
+            for parent, pg in zip(parents, fn(g)):
+                if pg is None or not isinstance(parent, Tensor):
                     continue
                 key = id(parent)
                 prev = grads.get(key)
                 grads[key] = pg if prev is None else prev + pg
         # whatever is left belongs to leaves (inputs and parameters)
         leaves = {}
-        for node in self._nodes:
-            for parent in node.parents:
-                if id(parent) not in produced:
+        for _, parents, _ in self._nodes:
+            for parent in parents:
+                if isinstance(parent, Tensor) and id(parent) not in produced:
                     leaves[id(parent)] = parent
         self._grads = {}
         for key, leaf in leaves.items():
@@ -314,11 +314,7 @@ class Tape:
         return Tensor(g)
 
 
-def _tape():
-    return _ACTIVE_TAPE
-
-
-class mac_counter:
+class mac_counter(_Active):
     """Context manager counting the multiply-accumulates of executed primitives.
 
     Counts are per image: each operation charges the MACs of one image of the
@@ -330,24 +326,15 @@ class mac_counter:
     layer's first output shape, in the order the layers first return.
     """
 
+    _slot = _MAC_COUNTER
+    _busy = (RuntimeError, "a MAC counter is already active")
+
     def __init__(self):
         self.macs = 0
         self.scope_macs = {}    # dotted layer name -> MACs of ops run directly in it
         self.outputs = {}       # dotted layer name -> output shape(s), by first return
         self.scopes = []        # names of the layers being called, innermost last
         self.layer_names = {}   # id(layer) -> dotted name under the top-level call
-
-    def __enter__(self):
-        global _MAC_COUNTER
-        if _MAC_COUNTER is not None:
-            raise RuntimeError("a MAC counter is already active")
-        _MAC_COUNTER = self
-        return self
-
-    def __exit__(self, *exc):
-        global _MAC_COUNTER
-        _MAC_COUNTER = None
-        return False
 
     def _charge(self, macs):
         self.macs += macs
@@ -356,10 +343,24 @@ class mac_counter:
             self.scope_macs[scope] = self.scope_macs.get(scope, 0) + macs
 
 
-def _count_macs(shape, per_element=1):
-    """Charge ``per_element`` MACs per element of one image of ``shape``."""
-    if _MAC_COUNTER is not None:
-        _MAC_COUNTER._charge(math.prod(shape[1:]) * per_element)
+def _emit(out, parents, backward, macs=0):
+    """The one exit of every primitive.
+
+    Freezes ``out`` (a fresh array, or a view of a frozen one) as the result
+    tensor, charges ``macs`` MACs per element of one output image to the
+    open counter, and records ``backward`` on the open tape.  ``backward(g)``
+    returns one gradient per entry of ``parents``, positionally, ``None``
+    where there is none.
+    """
+    y = Tensor(out, copy=False)
+    if macs:
+        counter = _MAC_COUNTER.get()
+        if counter is not None:
+            counter._charge(math.prod(y.shape[1:]) * macs)
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None:
+        tape._nodes.append((y, parents, backward))
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +411,12 @@ def _scatter_windows(dwin, xp_shape, k, stride, padding, out_shape):
     return dxp
 
 
+def _channel_grad(g, v):
+    """Gradient of a per-channel vector ``v`` (bias, gamma, beta) from ``g``
+    summed over batch and space; ``None`` where there is no ``v``."""
+    return None if v is None else g.sum(axis=(0, 2, 3)).reshape(v.shape)
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Standard 2-D cross-correlation, weight (c_out, c_in, k, k)."""
     co, ci, k, k2 = weight.shape
@@ -427,24 +434,15 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     out = (cols @ w2.T).transpose(0, 2, 1).reshape(n, co, ho, wo)
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1)
-    _count_macs(out.shape, ci * k * k)
-    y = Tensor(out, copy=False)
-    t = _tape()
-    if t is not None:
-        parents = [x, weight] + ([bias] if bias is not None else [])
 
-        def backward(g):
-            g2 = g.reshape(n, co, ho * wo).transpose(0, 2, 1)
-            dw = np.einsum("npo,npq->oq", g2, cols).reshape(weight.shape)
-            dcols = (g2 @ w2).reshape(n, ho, wo, ci, k, k).transpose(0, 3, 1, 2, 4, 5)
-            dx = _scatter_windows(dcols, xp.shape, k, stride, padding, x.shape)
-            grads = [dx, dw]
-            if bias is not None:
-                grads.append(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
-            return grads
+    def backward(g):
+        g2 = g.reshape(n, co, ho * wo).transpose(0, 2, 1)
+        dw = np.einsum("npo,npq->oq", g2, cols).reshape(weight.shape)
+        dcols = (g2 @ w2).reshape(n, ho, wo, ci, k, k).transpose(0, 3, 1, 2, 4, 5)
+        dx = _scatter_windows(dcols, xp.shape, k, stride, padding, x.shape)
+        return dx, dw, _channel_grad(g, bias)
 
-        t._record(y, parents, backward)
-    return y
+    return _emit(out, (x, weight, bias), backward, macs=ci * k * k)
 
 
 def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -463,23 +461,14 @@ def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
     out = np.einsum("nchwuv,cuv->nchw", win, w3)
     if bias is not None:
         out = out + bias.data.reshape(1, c, 1, 1)
-    _count_macs(out.shape, k * k)
-    y = Tensor(out, copy=False)
-    t = _tape()
-    if t is not None:
-        parents = [x, weight] + ([bias] if bias is not None else [])
 
-        def backward(g):
-            dw = np.einsum("nchwuv,nchw->cuv", win, g).reshape(weight.shape)
-            dwin = np.einsum("nchw,cuv->nchwuv", g, w3)
-            dx = _scatter_windows(dwin, xp.shape, k, stride, padding, x.shape)
-            grads = [dx, dw]
-            if bias is not None:
-                grads.append(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
-            return grads
+    def backward(g):
+        dw = np.einsum("nchwuv,nchw->cuv", win, g).reshape(weight.shape)
+        dwin = np.einsum("nchw,cuv->nchwuv", g, w3)
+        dx = _scatter_windows(dwin, xp.shape, k, stride, padding, x.shape)
+        return dx, dw, _channel_grad(g, bias)
 
-        t._record(y, parents, backward)
-    return y
+    return _emit(out, (x, weight, bias), backward, macs=k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -506,27 +495,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5):
     inv = 1.0 / np.sqrt(rv + eps)
     xhat = (x.data - rm.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
     out = xhat * ga.reshape(1, c, 1, 1) + be.reshape(1, c, 1, 1)
-    _count_macs(out.shape)
-    y = Tensor(out, copy=False)
-    t = _tape()
-    if t is not None:
-        parents = [x]
-        if isinstance(gamma, Tensor):
-            parents.append(gamma)
-        if isinstance(beta, Tensor):
-            parents.append(beta)
-        scale_ = (ga * inv).reshape(1, c, 1, 1)
 
-        def backward(g):
-            grads = [g * scale_]
-            if isinstance(gamma, Tensor):
-                grads.append((g * xhat).sum(axis=(0, 2, 3)).reshape(gamma.shape))
-            if isinstance(beta, Tensor):
-                grads.append(g.sum(axis=(0, 2, 3)).reshape(beta.shape))
-            return grads
+    def backward(g):
+        dx = g * (ga * inv).reshape(1, c, 1, 1)
+        return dx, _channel_grad(g * xhat, gamma), _channel_grad(g, beta)
 
-        t._record(y, parents, backward)
-    return y
+    return _emit(out, (x, gamma, beta), backward, macs=1)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -541,30 +515,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv
     out = xhat * ga + be
-    _count_macs(out.shape)
-    y = Tensor(out, copy=False)
-    t = _tape()
-    if t is not None:
-        parents = [x]
-        if isinstance(gamma, Tensor):
-            parents.append(gamma)
-        if isinstance(beta, Tensor):
-            parents.append(beta)
 
-        def backward(g):
-            dxhat = g * ga
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            dx = (dxhat - m1 - xhat * m2) * inv
-            grads = [dx]
-            if isinstance(gamma, Tensor):
-                grads.append((g * xhat).sum(axis=(0, 2, 3)).reshape(gamma.shape))
-            if isinstance(beta, Tensor):
-                grads.append(g.sum(axis=(0, 2, 3)).reshape(beta.shape))
-            return grads
+    def backward(g):
+        dxhat = g * ga
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        dx = (dxhat - m1 - xhat * m2) * inv
+        return dx, _channel_grad(g * xhat, gamma), _channel_grad(g, beta)
 
-        t._record(y, parents, backward)
-    return y
+    return _emit(out, (x, gamma, beta), backward, macs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +549,7 @@ def activation(x, kind):
         deriv = lambda: (v > 0).astype(v.dtype)
     else:
         raise DomainError(f"unknown activation {kind!r}")
-    _count_macs(out.shape)
-    y = Tensor(out, copy=False)
-    t = _tape()
-    if t is not None:
-        t._record(y, [x], lambda g, d=deriv: [g * d()])
-    return y
+    return _emit(out, (x,), lambda g: (g * deriv(),), macs=1)
 
 
 def silu(x):
@@ -623,18 +577,14 @@ def elementwise(x, y, op):
     if x.shape != y.shape:
         raise ShapeError(f"elementwise shapes differ: {x.shape} vs {y.shape}")
     if op == "add":
-        out = Tensor(x.data + y.data, copy=False)
-        bw = lambda g: [g, g]
+        out = x.data + y.data
+        backward = lambda g: (g, g)
     elif op == "mul":
-        out = Tensor(x.data * y.data, copy=False)
-        bw = lambda g: [g * y.data, g * x.data]
+        out = x.data * y.data
+        backward = lambda g: (g * y.data, g * x.data)
     else:
         raise DomainError(f"op must be 'mul' or 'add', got {op!r}")
-    _count_macs(out.shape)
-    t = _tape()
-    if t is not None:
-        t._record(out, [x, y], bw)
-    return out
+    return _emit(out, (x, y), backward, macs=1)
 
 
 def add(x, y):
@@ -650,30 +600,20 @@ def broadcast_mul(x, a):
     for dx, da in zip(x.shape, a.shape):
         if da != dx and da != 1:
             raise ShapeError(f"cannot broadcast {a.shape} over {x.shape}")
-    out = Tensor(x.data * a.data, copy=False)
-    _count_macs(out.shape)
-    t = _tape()
-    if t is not None:
+
+    def backward(g):
         axes = tuple(i for i, (dx, da) in enumerate(zip(x.shape, a.shape))
                      if da == 1 and dx != 1)
+        da = (g * x.data).sum(axis=axes, keepdims=True) if axes else g * x.data
+        return g * a.data, da
 
-        def backward(g):
-            da = (g * x.data).sum(axis=axes, keepdims=True) if axes else g * x.data
-            return [g * a.data, da]
-
-        t._record(out, [x, a], backward)
-    return out
+    return _emit(x.data * a.data, (x, a), backward, macs=1)
 
 
 def scale(x, factor):
     """Multiply by a Python scalar constant."""
     f = float(factor)
-    out = Tensor(x.data * f, copy=False)
-    _count_macs(out.shape)
-    t = _tape()
-    if t is not None:
-        t._record(out, [x], lambda g: [g * f])
-    return out
+    return _emit(x.data * f, (x,), lambda g: (g * f,), macs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -688,17 +628,12 @@ def concat_channels(xs):
     for x in xs[1:]:
         if (x.shape[0], x.shape[2], x.shape[3]) != (n, h, w):
             raise ShapeError(f"concat shapes disagree: {[x.shape for x in xs]}")
-    out = Tensor(np.concatenate([x.data for x in xs], axis=1), copy=False)
-    t = _tape()
-    if t is not None:
-        sizes = [x.shape[1] for x in xs]
-        offsets = np.cumsum([0] + sizes)
 
-        def backward(g):
-            return [g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes))]
+    def backward(g):
+        offsets = np.cumsum([0] + [x.shape[1] for x in xs])
+        return [g[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
-        t._record(out, list(xs), backward)
-    return out
+    return _emit(np.concatenate([x.data for x in xs], axis=1), tuple(xs), backward)
 
 
 def split_channels(x, sizes):
@@ -709,32 +644,26 @@ def split_channels(x, sizes):
         raise ShapeError("split sizes must be positive")
     offsets = np.cumsum([0] + list(sizes))
     outs = []
-    t = _tape()
     for i in range(len(sizes)):
         lo, hi = int(offsets[i]), int(offsets[i + 1])
-        y = Tensor(x.data[:, lo:hi])
-        if t is not None:
-            def backward(g, lo=lo, hi=hi):
-                full = np.zeros(x.shape, dtype=g.dtype)
-                full[:, lo:hi] = g
-                return [full]
-            t._record(y, [x], backward)
-        outs.append(y)
+
+        def backward(g, lo=lo, hi=hi):
+            full = np.zeros(x.shape, dtype=g.dtype)
+            full[:, lo:hi] = g
+            return (full,)
+
+        outs.append(_emit(x.data[:, lo:hi], (x,), backward))
     return outs
 
 
 def upsample_nearest2x(x):
     """Double h and w by nearest-neighbor replication."""
-    out = Tensor(x.data.repeat(2, axis=2).repeat(2, axis=3), copy=False)
-    t = _tape()
-    if t is not None:
-        n, c, h, w = x.shape
+    n, c, h, w = x.shape
 
-        def backward(g):
-            return [g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))]
+    def backward(g):
+        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
-        t._record(out, [x], backward)
-    return out
+    return _emit(x.data.repeat(2, axis=2).repeat(2, axis=3), (x,), backward)
 
 
 def max_pool(x, k, stride=1, padding=0):
@@ -746,25 +675,22 @@ def max_pool(x, k, stride=1, padding=0):
     win = _windows(xp, k, stride).reshape(n, c, ho, wo, k * k)
     idx = win.argmax(axis=4)
     out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
-    y = Tensor(out, copy=False)
-    t = _tape()
-    if t is not None:
-        def backward(g):
-            dxp = np.zeros(xp.shape, dtype=g.dtype)
-            u, v = idx // k, idx % k
-            ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-            rows = ii * stride + u
-            cols_ = jj * stride + v
-            nn = np.arange(n)[:, None, None, None]
-            cc = np.arange(c)[None, :, None, None]
-            np.add.at(dxp, (np.broadcast_to(nn, rows.shape),
-                            np.broadcast_to(cc, rows.shape), rows, cols_), g)
-            if padding:
-                dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-            return [dxp]
 
-        t._record(y, [x], backward)
-    return y
+    def backward(g):
+        dxp = np.zeros(xp.shape, dtype=g.dtype)
+        u, v = idx // k, idx % k
+        ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+        rows = ii * stride + u
+        cols_ = jj * stride + v
+        nn = np.arange(n)[:, None, None, None]
+        cc = np.arange(c)[None, :, None, None]
+        np.add.at(dxp, (np.broadcast_to(nn, rows.shape),
+                        np.broadcast_to(cc, rows.shape), rows, cols_), g)
+        if padding:
+            dxp = dxp[:, :, padding:padding + h, padding:padding + w]
+        return (dxp,)
+
+    return _emit(out, (x,), backward)
 
 
 def space_to_depth_2x2(x):
@@ -773,18 +699,15 @@ def space_to_depth_2x2(x):
     if h % 2 or w % 2:
         raise ShapeError(f"space_to_depth needs even spatial dims, got {h}x{w}")
     phases = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    out = Tensor(np.concatenate(
-        [x.data[:, :, ph::2, pw::2] for ph, pw in phases], axis=1), copy=False)
-    t = _tape()
-    if t is not None:
-        def backward(g):
-            dx = np.zeros(x.shape, dtype=g.dtype)
-            for i, (ph, pw) in enumerate(phases):
-                dx[:, :, ph::2, pw::2] = g[:, i * c:(i + 1) * c]
-            return [dx]
+    out = np.concatenate([x.data[:, :, ph::2, pw::2] for ph, pw in phases], axis=1)
 
-        t._record(out, [x], backward)
-    return out
+    def backward(g):
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        for i, (ph, pw) in enumerate(phases):
+            dx[:, :, ph::2, pw::2] = g[:, i * c:(i + 1) * c]
+        return (dx,)
+
+    return _emit(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -793,17 +716,13 @@ def space_to_depth_2x2(x):
 
 def global_avg_pool(x):
     """Mean over (h, w) -> (n, c, 1, 1)."""
-    out = Tensor(x.data.mean(axis=(2, 3), keepdims=True), copy=False)
-    _count_macs(x.shape)
-    t = _tape()
-    if t is not None:
-        n, c, h, w = x.shape
+    n, c, h, w = x.shape
 
-        def backward(g):
-            return [np.broadcast_to(g / (h * w), x.shape).copy()]
+    def backward(g):
+        return (np.broadcast_to(g / (h * w), x.shape).copy(),)
 
-        t._record(out, [x], backward)
-    return out
+    # one MAC per input element: h * w per output element
+    return _emit(x.data.mean(axis=(2, 3), keepdims=True), (x,), backward, macs=h * w)
 
 
 def global_max_pool(x):
@@ -811,46 +730,37 @@ def global_max_pool(x):
     n, c, h, w = x.shape
     flat = x.data.reshape(n, c, h * w)
     idx = flat.argmax(axis=2)
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=2).reshape(n, c, 1, 1), copy=False)
-    t = _tape()
-    if t is not None:
-        def backward(g):
-            dflat = np.zeros(flat.shape, dtype=g.dtype)
-            np.put_along_axis(dflat, idx[..., None], g.reshape(n, c, 1), axis=2)
-            return [dflat.reshape(x.shape)]
+    out = np.take_along_axis(flat, idx[..., None], axis=2).reshape(n, c, 1, 1)
 
-        t._record(out, [x], backward)
-    return out
+    def backward(g):
+        dflat = np.zeros(flat.shape, dtype=g.dtype)
+        np.put_along_axis(dflat, idx[..., None], g.reshape(n, c, 1), axis=2)
+        return (dflat.reshape(x.shape),)
+
+    return _emit(out, (x,), backward)
 
 
 def channel_mean(x):
     """Mean over channels -> (n, 1, h, w)."""
-    out = Tensor(x.data.mean(axis=1, keepdims=True), copy=False)
-    _count_macs(x.shape)
-    t = _tape()
-    if t is not None:
-        c = x.shape[1]
+    c = x.shape[1]
 
-        def backward(g):
-            return [np.broadcast_to(g / c, x.shape).copy()]
+    def backward(g):
+        return (np.broadcast_to(g / c, x.shape).copy(),)
 
-        t._record(out, [x], backward)
-    return out
+    # one MAC per input element: c per output element
+    return _emit(x.data.mean(axis=1, keepdims=True), (x,), backward, macs=c)
 
 
 def channel_max(x):
     """Max over channels -> (n, 1, h, w)."""
     idx = x.data.argmax(axis=1, keepdims=True)
-    out = Tensor(np.take_along_axis(x.data, idx, axis=1), copy=False)
-    t = _tape()
-    if t is not None:
-        def backward(g):
-            dx = np.zeros(x.shape, dtype=g.dtype)
-            np.put_along_axis(dx, idx, g, axis=1)
-            return [dx]
 
-        t._record(out, [x], backward)
-    return out
+    def backward(g):
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        np.put_along_axis(dx, idx, g, axis=1)
+        return (dx,)
+
+    return _emit(np.take_along_axis(x.data, idx, axis=1), (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from drsinet import cli
 from drsinet.cli import main
 from drsinet.decode import DEFAULT_FALLOFF
-from drsinet.network import ModelConfig, build_model
+from drsinet.network import Model, ModelConfig, build_model
 from drsinet.profiler import profile, save_weights
 
 
@@ -139,7 +140,7 @@ class TestForwardCommand:
 
         def no_build(*args, **kwargs):
             raise AssertionError("model built for a rejected --shape")
-        monkeypatch.setattr(cli, "build_model", no_build)
+        monkeypatch.setattr(cli, "Model", no_build)
         capsys.readouterr()
         assert main(["forward", "--config", str(mini_cfg_file),
                      "--weights", str(weights), "--image", str(image_path),
@@ -210,13 +211,28 @@ _GT_KPS = [50.0, 50.0, 2.0] + [0.0] * 48
 _PRED_KPS = [50.0, 50.0, 0.9] * 17
 
 
-def _forward_case(image):
+def _forward_case(image, *flags, archive=None):
+    """A forward call; ``image`` None leaves the image file unwritten and
+    ``archive`` bytes replace the weight archive."""
     def make(tmp_path, cfg_path, weights):
         image_path = tmp_path / "img.f32"
-        image.astype("<f4").tofile(image_path)
+        if image is not None:
+            image.astype("<f4").tofile(image_path)
+        if archive is not None:
+            weights.write_bytes(archive)
         return ["forward", "--config", str(cfg_path), "--weights", str(weights),
                 "--image", str(image_path), "--shape", "1,3,64,64",
-                "--out", str(tmp_path / "o.json")]
+                "--out", str(tmp_path / "o.json"), *flags]
+    return make
+
+
+def _config_case(**fields):
+    """A profile call on the miniature config with ``fields`` overridden."""
+    def make(tmp_path, cfg_path, weights):
+        cfg = json.loads(cfg_path.read_text())
+        cfg.update(fields)
+        (tmp_path / "bad.json").write_text(json.dumps(cfg))
+        return ["profile", "--config", str(tmp_path / "bad.json"), "--input-size", "64"]
     return make
 
 
@@ -239,12 +255,34 @@ def _eval_case(pred_text, gt_text=_GOOD_GT):
 _NAN_IMAGE = np.full((1, 3, 64, 64), np.nan)
 _INF_PIXEL = np.zeros((1, 3, 64, 64))
 _INF_PIXEL[0, 1, 5, 7] = np.inf
+# one entry whose dims claim 65535^3 x 4 floats (4.5 PB) in a 43-byte file
+_HUGE_ENTRY = (b"DRSI" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"w"
+               + struct.pack("<BB", 0, 4) + struct.pack("<4I", 65535, 65535, 65535, 4)
+               + bytes(8))
 
 # name -> (argv builder, exit code, text the one-line message must hold)
 MALFORMED = {
     "all-nan image": (_forward_case(_NAN_IMAGE), 1, "non-finite"),
     "one inf pixel": (_forward_case(_INF_PIXEL), 1, "1 non-finite"),
     "image size mismatch": (_forward_case(np.zeros(10)), 1, "shape needs 12288"),
+    # thresholds are checked before the (here missing) image is read
+    "conf nan": (_forward_case(None, "--conf", "nan"), 1, "--conf must be in [0, 1]"),
+    "conf below 0": (_forward_case(None, "--conf", "-1"), 1, "--conf must be in [0, 1]"),
+    "conf above 1": (_forward_case(None, "--conf", "1.5"), 1, "--conf must be in [0, 1]"),
+    "iou above 1": (_forward_case(None, "--iou", "1.5"), 1, "--iou must be in (0, 1)"),
+    "iou 0": (_forward_case(None, "--iou", "0"), 1, "--iou must be in (0, 1)"),
+    "archive entry larger than file": (
+        _forward_case(np.zeros((1, 3, 64, 64)), archive=_HUGE_ENTRY), 1,
+        "truncated archive while reading payload of 'w'"),
+    "config order_n a string": (_config_case(order_n="2"), 1, "order_n must be an integer"),
+    "config order_n a bool": (_config_case(order_n=True), 1, "order_n must be an integer"),
+    "config anchors a number": (_config_case(anchors=5), 1, "anchors must be a list"),
+    "config width_mult a string": (
+        _config_case(width_mult="0.5"), 1, "width_mult must be a number"),
+    "config lambda a string": (_config_case(**{"lambda": "3"}), 1, "lambda must be a number"),
+    "config residual_interactions a string": (
+        _config_case(residual_interactions="no"), 1,
+        "residual_interactions must be true or false"),
     "result without keypoints": (
         _eval_case('[{"image_id": 1, "score": 0.5}]'), 1, "missing 'keypoints'"),
     "result without image_id": (
@@ -262,6 +300,7 @@ MALFORMED = {
         "missing 'keypoints'"),
     "missing results file": (_eval_case(None), 2, "i/o error: "),
 }
+_FOUND_WHILE_LOADING = {"archive entry larger than file"}
 
 
 class TestMalformedInput:
@@ -276,9 +315,15 @@ class TestMalformedInput:
         save_weights(build_model(ModelConfig.from_file(mini_cfg_file), seed=0), weights)
         argv = make(tmp_path, mini_cfg_file, weights)
 
-        def no_build(*args, **kwargs):
-            raise AssertionError("model built for a rejected input")
-        monkeypatch.setattr(cli, "build_model", no_build)
+        def refuse(what):
+            def guard(*args, **kwargs):
+                raise AssertionError(f"{what} for a rejected input")
+            return guard
+        # a bad archive can only show while it loads into the built model
+        if case in _FOUND_WHILE_LOADING:
+            monkeypatch.setattr(Model, "forward", refuse("forward run"))
+        else:
+            monkeypatch.setattr(cli, "Model", refuse("model built"))
         capsys.readouterr()
         try:
             got = main(argv)
@@ -296,11 +341,3 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "tensor.conv2d" in out and "FAIL" not in out
 
-
-class TestSeedEnv:
-    def test_drsi_seed_env_override(self, monkeypatch):
-        from drsinet.cli import _default_seed
-        monkeypatch.delenv("DRSI_SEED", raising=False)
-        assert _default_seed() == 0
-        monkeypatch.setenv("DRSI_SEED", "31337")
-        assert _default_seed() == 31337

@@ -2,11 +2,13 @@
 finite-difference gradient checks."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from drsinet import tensor as T
+from drsinet.layers import Conv2d
 from drsinet.tensor import (
     DomainError, ShapeError, Tape, TapeError, Tensor, grad_check, tensor,
 )
@@ -340,6 +342,52 @@ class TestBackward:
         tape.backward(tensor(np.ones(y.shape, np.float32)))
         assert p.grad is not None and p.grad.shape == (2, 2, 1, 1)
 
+
+
+def _in_thread(fn):
+    """Run ``fn`` in a fresh thread and return its result (or raise its error)."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=60)
+
+
+class TestPerThreadState:
+    def test_tape_ignores_other_threads(self, rng):
+        x = rand_t(rng, (1, 1, 2, 2))
+        g = tensor(np.ones((1, 1, 2, 2), np.float32))
+
+        def other():
+            # the other thread runs an op and opens a tape of its own
+            T.add(x, x)
+            with Tape() as own:
+                T.mul(x, x)
+            own.backward(g)
+            return own.grad_for(x).numpy()
+
+        with Tape() as tape:
+            np.testing.assert_array_equal(_in_thread(other), 2 * x.numpy())
+        with pytest.raises(TapeError, match="empty tape"):
+            tape.backward(g)
+
+    def test_counter_ignores_other_threads(self, rng):
+        conv = Conv2d(3, 4, 3).finalize(0)
+        x = rand_t(rng, (1, 3, 8, 8))
+        with T.mac_counter() as mc:
+            _in_thread(lambda: conv(x))
+        assert mc.macs == 0 and mc.outputs == {} and mc.scope_macs == {}
+        with T.mac_counter() as mc:
+            conv(x)
+        assert mc.macs == 4 * 3 * 9 * 8 * 8
+
+    def test_second_tape_or_counter_in_one_thread_rejected(self):
+        with Tape():
+            with pytest.raises(TapeError):
+                Tape().__enter__()
+        with T.mac_counter():
+            with pytest.raises(RuntimeError):
+                T.mac_counter().__enter__()
+        # closing restores the empty state
+        with Tape(), T.mac_counter():
+            pass
 
 def _primitive_cases(rng):
     w_c = tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
