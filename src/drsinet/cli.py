@@ -118,7 +118,13 @@ def _cmd_forward(args):
                           "non-finite values (NaN or inf)")
     # the archive sets every parameter, so the model needs no seeded init
     model = P.load_weights(Model(cfg), args.weights)
-    outs = model(tensor(raw.reshape(dims)))
+    # an overflow shows as a non-finite head, reported below in one line
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        outs = model(tensor(raw.reshape(dims)))
+    bad = [stride for head, stride in zip(outs, cfg.strides)
+           if not np.isfinite(head.numpy()).all()]
+    if bad:
+        raise DomainError(f"forward produced non-finite values in the heads at strides {bad}")
     dets = D.Detections.concatenate([
         D.decode(head, stride, anchors, args.conf, num_keypoints=cfg.num_keypoints)
         for head, stride, anchors in zip(outs, cfg.strides, cfg.anchors)])

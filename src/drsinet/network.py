@@ -136,8 +136,11 @@ class ModelConfig:
             raise ConfigError("base_depths must list the four stage depths")
         if self.order_n < 1:
             raise ConfigError(f"order_n must be >= 1, got {self.order_n}")
-        if self.lambda_ <= 0:
-            raise ConfigError(f"lambda must be positive, got {self.lambda_}")
+        # NaN fails every comparison, so the test is written to fail closed
+        for name in ("width_mult", "depth_mult", "lambda_", "cbam_reduction"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name.rstrip('_')} must be finite and > 0, got {value!r}")
         if self.neck not in NECK_KINDS:
             raise ConfigError(f"neck must be one of {NECK_KINDS}, got {self.neck!r}")
         if self.backbone_block not in BACKBONE_BLOCKS:
@@ -150,10 +153,14 @@ class ModelConfig:
         for level in self.anchors:
             if len(level) != 3:
                 raise ConfigError("exactly 3 anchors per stride are required")
-            if any(w <= 0 or h <= 0 for w, h in level):
-                raise ConfigError("anchor sides must be positive")
+            for side in (v for pair in level for v in pair):
+                if not (math.isfinite(side) and side > 0):
+                    raise ConfigError(f"anchor sides must be finite and > 0, got {side!r}")
         if set(self.sam_kernels) != {"top_down", "bottom_up"}:
             raise ConfigError("sam_kernels needs 'top_down' and 'bottom_up' keys")
+        for where, k in self.sam_kernels.items():
+            if k < 1 or k % 2 == 0:
+                raise ConfigError(f"sam_kernels {where} must be a positive odd integer, got {k}")
         if self.num_keypoints < 1:
             raise ConfigError("num_keypoints must be >= 1")
         if self.channel_round < 1:

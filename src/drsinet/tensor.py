@@ -417,8 +417,26 @@ def _channel_grad(g, v):
     return None if v is None else g.sum(axis=(0, 2, 3)).reshape(v.shape)
 
 
+# Working-set size of one block of the shifted-view kernels: an output block
+# and its scratch stay in cache across the k*k taps that update them.
+_BLOCK_BYTES = 1 << 18
+
+
+def _tap(xp, u, v, stride, rows, wo, row0=0):
+    """View of the padded input that kernel tap (u, v) meets at the ``rows``
+    output rows from ``row0`` and at all ``wo`` output columns."""
+    r = row0 * stride + u
+    return xp[:, :, r:r + stride * (rows - 1) + 1:stride, v:v + stride * (wo - 1) + 1:stride]
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0):
-    """Standard 2-D cross-correlation, weight (c_out, c_in, k, k)."""
+    """Standard 2-D cross-correlation, weight (c_out, c_in, k, k).
+
+    A 1x1 stride-1 unpadded conv is one GEMM over the flattened image.  Any
+    other conv runs in blocks of output rows, each the sum of k*k GEMMs of a
+    tap's weight slice with that tap's shifted, strided view of the padded
+    input.  The im2col window matrix is built only by the backward.
+    """
     co, ci, k, k2 = weight.shape
     if k != k2:
         raise ShapeError("only square kernels are supported")
@@ -428,14 +446,34 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         raise ShapeError(f"conv2d expects {ci} input channels, got {c}")
     ho, wo = _out_hw(h, w, k, stride, padding)
     xp = _pad_nchw(x.data, padding)
-    win = _windows(xp, k, stride)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, ci * k * k)
-    w2 = weight.data.reshape(co, ci * k * k)
-    out = (cols @ w2.T).transpose(0, 2, 1).reshape(n, co, ho, wo)
+    if k == 1 and stride == 1 and padding == 0:
+        out = np.matmul(weight.data.reshape(co, ci), xp.reshape(n, ci, h * w))
+    else:
+        taps = weight.data.transpose(2, 3, 0, 1).copy()      # (k, k, co, ci)
+        out = np.empty((n, co, ho * wo), dtype=np.result_type(xp, taps))
+        rows = max(1, _BLOCK_BYTES // max(1, n * co * wo * out.itemsize))
+        acc = np.empty((n, co, min(rows, ho) * wo), dtype=out.dtype)
+        tmp = np.empty_like(acc)
+        for i0 in range(0, ho, rows):
+            r = min(rows, ho - i0)
+            a, t = acc[:, :, :r * wo], tmp[:, :, :r * wo]
+            for u in range(k):
+                for v in range(k):
+                    view = _tap(xp, u, v, stride, r, wo, i0).reshape(n, ci, r * wo)
+                    if u == v == 0:
+                        np.matmul(taps[u, v], view, out=a)
+                    else:
+                        np.matmul(taps[u, v], view, out=t)
+                        a += t
+            out[:, :, i0 * wo:(i0 + r) * wo] = a
+    out = out.reshape(n, co, ho, wo)
     if bias is not None:
-        out = out + bias.data.reshape(1, co, 1, 1)
+        out += bias.data.reshape(1, co, 1, 1)
 
     def backward(g):
+        cols = np.ascontiguousarray(_windows(xp, k, stride).transpose(0, 2, 3, 1, 4, 5))
+        cols = cols.reshape(n, ho * wo, ci * k * k)
+        w2 = weight.data.reshape(co, ci * k * k)
         g2 = g.reshape(n, co, ho * wo).transpose(0, 2, 1)
         dw = np.einsum("npo,npq->oq", g2, cols).reshape(weight.shape)
         dcols = (g2 @ w2).reshape(n, ho, wo, ci, k, k).transpose(0, 3, 1, 2, 4, 5)
@@ -446,7 +484,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 
 
 def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
-    """Per-channel 2-D cross-correlation, weight (c, 1, k, k)."""
+    """Per-channel 2-D cross-correlation, weight (c, 1, k, k).
+
+    Runs in blocks of channels, each the k*k multiply-accumulates of a tap's
+    per-channel weight with that tap's shifted, strided view of the padded
+    input, into one output buffer.  The window view is built only by the
+    backward.
+    """
     c_w, one, k, k2 = weight.shape
     if one != 1 or k != k2:
         raise ShapeError("depthwise weight must have shape (c, 1, k, k)")
@@ -456,13 +500,27 @@ def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
         raise ShapeError(f"depthwise_conv2d expects {c_w} channels, got {c}")
     ho, wo = _out_hw(h, w, k, stride, padding)
     xp = _pad_nchw(x.data, padding)
-    win = _windows(xp, k, stride)
-    w3 = weight.data.reshape(c, k, k)
-    out = np.einsum("nchwuv,cuv->nchw", win, w3)
+    w4 = weight.data.reshape(c, k, k, 1, 1)
+    out = np.empty((n, c, ho, wo), dtype=np.result_type(xp, w4))
+    chans = max(1, _BLOCK_BYTES // max(1, n * ho * wo * out.itemsize))
+    tmp = np.empty((n, min(chans, c), ho, wo), dtype=out.dtype)
+    for c0 in range(0, c, chans):
+        c1 = min(c, c0 + chans)
+        o, t = out[:, c0:c1], tmp[:, :c1 - c0]
+        for u in range(k):
+            for v in range(k):
+                view = _tap(xp[:, c0:c1], u, v, stride, ho, wo)
+                if u == v == 0:
+                    np.multiply(view, w4[c0:c1, u, v], out=o)
+                else:
+                    np.multiply(view, w4[c0:c1, u, v], out=t)
+                    o += t
     if bias is not None:
-        out = out + bias.data.reshape(1, c, 1, 1)
+        out += bias.data.reshape(1, c, 1, 1)
 
     def backward(g):
+        win = _windows(xp, k, stride)
+        w3 = weight.data.reshape(c, k, k)
         dw = np.einsum("nchwuv,nchw->cuv", win, g).reshape(weight.shape)
         dwin = np.einsum("nchw,cuv->nchwuv", g, w3)
         dx = _scatter_windows(dwin, xp.shape, k, stride, padding, x.shape)
@@ -484,7 +542,8 @@ def _vec(v, c, name):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5):
-    """Channel-wise batch normalization with the running statistics."""
+    """Channel-wise batch normalization with the running statistics, applied
+    as one per-channel affine ``x * a + b``."""
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     n, c, h, w = x.shape
@@ -493,11 +552,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5):
     rm = _vec(running_mean, c, "running_mean")
     rv = _vec(running_var, c, "running_var")
     inv = 1.0 / np.sqrt(rv + eps)
-    xhat = (x.data - rm.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out = xhat * ga.reshape(1, c, 1, 1) + be.reshape(1, c, 1, 1)
+    a = ga * inv                  # out = (x - mean) * inv * gamma + beta = x * a + b
+    out = x.data * a.reshape(1, c, 1, 1)
+    out += (be - rm * a).reshape(1, c, 1, 1)
 
     def backward(g):
-        dx = g * (ga * inv).reshape(1, c, 1, 1)
+        xhat = (x.data - rm.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+        dx = g * a.reshape(1, c, 1, 1)
         return dx, _channel_grad(g * xhat, gamma), _channel_grad(g, beta)
 
     return _emit(out, (x, gamma, beta), backward, macs=1)
@@ -531,15 +592,24 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 # ---------------------------------------------------------------------------
 
 def activation(x, kind):
-    """Element-wise nonlinearity: silu, gelu (exact erf form), sigmoid or relu."""
+    """Element-wise nonlinearity: silu, gelu (exact erf form), sigmoid or relu.
+
+    With no tape open, silu and gelu write their result over their one
+    intermediate, which no backward will read; the values are bitwise those
+    of the taped path.
+    """
     v = x.data
+    taped = _ACTIVE_TAPE.get() is not None
     if kind == "silu":
         s = expit(v)
-        out = v * s
+        out = v * s if taped else np.multiply(s, v, out=s)
         deriv = lambda: s * (1.0 + v * (1.0 - s))
     elif kind == "gelu":
-        cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
-        out = v * cdf
+        cdf = np.multiply(v, _INV_SQRT2)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        out = v * cdf if taped else np.multiply(cdf, v, out=cdf)
         deriv = lambda: cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT2PI
     elif kind == "sigmoid":
         out = expit(v)

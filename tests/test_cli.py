@@ -299,8 +299,27 @@ MALFORMED = {
         _eval_case(_GOOD_PRED, '{"annotations": [{"image_id": 1, "area": 4.0}]}'), 1,
         "missing 'keypoints'"),
     "missing results file": (_eval_case(None), 2, "i/o error: "),
+    "config cbam_reduction 0": (
+        _config_case(cbam_reduction=0), 1, "cbam_reduction must be finite and > 0"),
+    "config depth_mult Infinity": (
+        _config_case(depth_mult=math.inf), 1, "depth_mult must be finite and > 0"),
+    "config depth_mult NaN": (
+        _config_case(depth_mult=math.nan), 1, "depth_mult must be finite and > 0"),
+    "config width_mult negative": (
+        _config_case(width_mult=-1.0), 1, "width_mult must be finite and > 0"),
+    "config lambda 0": (_config_case(**{"lambda": 0.0}), 1, "lambda must be finite and > 0"),
+    "config anchor side NaN": (
+        _config_case(anchors=[[[math.nan, 27.0], [44.0, 40.0], [38.0, 94.0]]] * 4), 1,
+        "anchor sides must be finite and > 0"),
+    "config sam kernel even": (
+        _config_case(sam_kernels={"top_down": 1, "bottom_up": 2}), 1,
+        "sam_kernels bottom_up must be a positive odd integer"),
+    # finite pixels that overflow float32 inside the forward
+    "image of 3e38": (_forward_case(np.full((1, 3, 64, 64), 3e38)), 1,
+                      "non-finite values in the heads"),
 }
 _FOUND_WHILE_LOADING = {"archive entry larger than file"}
+_FOUND_AFTER_FORWARD = {"image of 3e38"}
 
 
 class TestMalformedInput:
@@ -322,7 +341,7 @@ class TestMalformedInput:
         # a bad archive can only show while it loads into the built model
         if case in _FOUND_WHILE_LOADING:
             monkeypatch.setattr(Model, "forward", refuse("forward run"))
-        else:
+        elif case not in _FOUND_AFTER_FORWARD:
             monkeypatch.setattr(cli, "Model", refuse("model built"))
         capsys.readouterr()
         try:
@@ -333,6 +352,7 @@ class TestMalformedInput:
         assert got in (1, 2) and got == code
         assert "Traceback" not in err and err.count("\n") == 1
         assert text in err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestGradcheckCommand:

@@ -152,6 +152,56 @@ class TestDepthwiseConv2d:
             assert np.max(np.abs(a - b)) <= 1e-6
 
 
+def naive_depthwise(x, w, bias=None, stride=1, padding=0):
+    """Reference depthwise convolution: ``naive_conv2d`` channel by channel."""
+    outs = [naive_conv2d(x[:, ch:ch + 1], w[ch:ch + 1], None, stride, padding)
+            + (bias[ch] if bias is not None else 0.0)
+            for ch in range(x.shape[1])]
+    return np.concatenate(outs, axis=1)
+
+
+# kernel size x stride x padding in {0, k//2, k}; 1x1 with padding 1 or
+# stride 2 is the easy bug in a 1x1 fast path
+_GRID = sorted({(k, s, p) for k in (1, 3, 5, 7) for s in (1, 2) for p in (0, k // 2, k)})
+
+
+class TestKernelOracleGrid:
+    """Both convolution kernels against the loop oracles over kernel size,
+    stride, padding, batch 0/1/2, odd h and w, both float widths and with and
+    without bias, at the default block size and at blocks of one output row
+    or channel.  Inputs are float32 values, so one float64 oracle run on
+    batch 2 serves both widths; batches 0 and 1 are its leading slices."""
+
+    @staticmethod
+    def _check(run, oracle, shapes, seed, stride, padding, monkeypatch):
+        rng = np.random.default_rng(seed)
+        x, w, b = (None if s is None else rng.normal(size=s).astype(np.float32).astype(np.float64)
+                   for s in shapes)
+        want = oracle(x, w, b, stride, padding)
+        for block, dtype, tol in ((T._BLOCK_BYTES, np.float64, 1e-12), (1, np.float64, 1e-12),
+                                  (T._BLOCK_BYTES, np.float32, 2e-5)):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block)
+            for n in (0, 1, 2):
+                got = run(tensor(x[:n], dtype), tensor(w, dtype),
+                          None if b is None else tensor(b, dtype), stride, padding)
+                assert got.dtype == dtype and got.shape == want[:n].shape
+                np.testing.assert_allclose(got.numpy(), want[:n], rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("k,stride,padding", _GRID)
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_conv2d(self, k, stride, padding, bias, monkeypatch):
+        shapes = ((2, 3, 9, 7), (2, 3, k, k), (2,) if bias else None)
+        self._check(T.conv2d, naive_conv2d, shapes, 100 * k + 10 * stride + padding,
+                    stride, padding, monkeypatch)
+
+    @pytest.mark.parametrize("k,stride,padding", _GRID)
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_depthwise_conv2d(self, k, stride, padding, bias, monkeypatch):
+        shapes = ((2, 3, 9, 7), (3, 1, k, k), (3,) if bias else None)
+        self._check(T.depthwise_conv2d, naive_depthwise, shapes, 100 * k + 10 * stride + padding,
+                    stride, padding, monkeypatch)
+
+
 class TestNorms:
     def test_batch_norm_eval_identity(self, rng):
         x = rand_t(rng, (2, 3, 4, 4))
@@ -164,6 +214,15 @@ class TestNorms:
         y = T.batch_norm(x, np.array([2.0], np.float32), np.array([1.0], np.float32),
                          np.zeros(1, np.float32), np.ones(1, np.float32), eps=1e-12)
         assert abs(y.numpy().item() - 7.0) < 1e-5
+
+    def test_batch_norm_matches_textbook_form(self, rng):
+        x = rng.normal(size=(2, 3, 5, 4))
+        ga, be = rng.normal(size=3), rng.normal(size=3)
+        rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        got = T.batch_norm(tensor(x, np.float64), ga, be, rm, rv, eps=1e-5).numpy()
+        c = lambda v: v.reshape(1, 3, 1, 1)
+        want = (x - c(rm)) / np.sqrt(c(rv) + 1e-5) * c(ga) + c(be)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_batch_norm_bad_eps(self, rng):
         x = rand_t(rng, (1, 2, 2, 2))
@@ -214,6 +273,18 @@ class TestActivations:
         got = T.gelu(tensor(v, np.float64)).numpy()
         want = 0.5 * v * (1.0 + np.vectorize(math.erf)(v / math.sqrt(2.0)))
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["silu", "gelu", "sigmoid", "relu"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tape_free_equals_taped_bitwise(self, kind, dtype, rng):
+        v = np.concatenate([rng.normal(scale=4.0, size=60),
+                            [0.0, -0.0, 1e-30, -1e-30, 30.0, -30.0]])
+        x = tensor(v.reshape(1, 6, 11, 1), dtype)
+        free = T.activation(x, kind).numpy()
+        with Tape():
+            taped = T.activation(x, kind).numpy()
+        assert free.dtype == taped.dtype == dtype
+        assert free.tobytes() == taped.tobytes()
 
     def test_unknown_kind(self, rng):
         with pytest.raises(DomainError):
