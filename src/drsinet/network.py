@@ -41,6 +41,9 @@ DEFAULT_ANCHORS = (
 
 VARIANT_MULTS = {"s": (0.33, 0.50), "m": (0.67, 0.75), "l": (1.00, 1.00)}
 
+# The most bytes one weight archive entry holds (README, "Weights").
+MAX_PARAM_BYTES = (1 << 32) - 1
+
 
 class ConfigError(ValueError):
     """Model configuration violates an invariant or carries unknown keys."""
@@ -165,6 +168,12 @@ class ModelConfig:
             raise ConfigError("num_keypoints must be >= 1")
         if self.channel_round < 1:
             raise ConfigError("channel_round must be >= 1")
+        # the layer tree holds only shapes until it is materialized
+        for name, p in Model(self).named_parameters():
+            if 4 * p.count() > MAX_PARAM_BYTES:
+                raise ConfigError(
+                    f"parameter {name} of shape {p.logical_shape} needs {4 * p.count()} "
+                    f"bytes, more than the {MAX_PARAM_BYTES} a weight archive entry holds")
 
     # -- scaling --------------------------------------------------------
 

@@ -307,6 +307,9 @@ MALFORMED = {
         _config_case(depth_mult=math.nan), 1, "depth_mult must be finite and > 0"),
     "config width_mult negative": (
         _config_case(width_mult=-1.0), 1, "width_mult must be finite and > 0"),
+    # finite, but its widest conv weight needs 27.6 GB
+    "config width_mult 1e6": (
+        _config_case(width_mult=1e6), 1, "a weight archive entry holds"),
     "config lambda 0": (_config_case(**{"lambda": 0.0}), 1, "lambda must be finite and > 0"),
     "config anchor side NaN": (
         _config_case(anchors=[[[math.nan, 27.0], [44.0, 40.0], [38.0, 94.0]]] * 4), 1,

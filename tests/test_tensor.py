@@ -3,12 +3,14 @@ finite-difference gradient checks."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drsinet import tensor as T
 from drsinet.layers import Conv2d
+from drsinet.network import ModelConfig, build_model
 from drsinet.tensor import (
     DomainError, ShapeError, Tape, TapeError, Tensor, grad_check, tensor,
 )
@@ -278,8 +280,9 @@ class TestActivations:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tape_free_equals_taped_bitwise(self, kind, dtype, rng):
         v = np.concatenate([rng.normal(scale=4.0, size=60),
-                            [0.0, -0.0, 1e-30, -1e-30, 30.0, -30.0]])
-        x = tensor(v.reshape(1, 6, 11, 1), dtype)
+                            [0.0, -0.0, 1e-30, -1e-30, 30.0, -30.0,
+                             89.0, -89.0, 1e4, -1e4]])
+        x = tensor(v.reshape(1, 7, 10, 1), dtype)
         free = T.activation(x, kind).numpy()
         with Tape():
             taped = T.activation(x, kind).numpy()
@@ -289,6 +292,79 @@ class TestActivations:
     def test_unknown_kind(self, rng):
         with pytest.raises(DomainError):
             T.activation(rand_t(rng, (1, 1, 1, 1)), "tanh")
+
+    def test_float32_accuracy_and_limits(self):
+        """float32 against float64 references on a dense grid and at the
+        extremes, where the saturated values are exact."""
+        ends = [88.0, 89.0, 1e4, 3e38, 1e-30]
+        x32 = np.concatenate([np.linspace(-12.0, 12.0, 1_000_001), ends,
+                              np.negative(ends), [-0.0]]).astype(np.float32)
+        x = x32.astype(np.float64)
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-x))
+        cdf = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+        refs = {"sigmoid": (sig, 3e-7), "silu": (x * sig, 3e-7), "gelu": (x * cdf, 5e-7)}
+        got = {}
+        for kind, (want, tol) in refs.items():
+            got[kind] = T.activation(tensor(x32), kind).numpy().ravel()
+            err = np.abs(got[kind] - want) / np.maximum(1.0, np.abs(x))
+            assert err.max() <= tol, f"{kind} at x={x[err.argmax()]}: {err.max():.3e}"
+        at = lambda kind, v: got[kind][x32 == np.float32(v)][0]
+        assert at("silu", -1e4) == 0.0 and np.signbit(at("silu", -1e4))
+        assert at("sigmoid", -1e4) == 0.0 and at("sigmoid", 1e4) == 1.0
+        assert at("gelu", 1e4) == np.float32(1e4) and at("gelu", 3e38) == np.float32(3e38)
+        tail = got["gelu"][x32 <= -8.0]
+        assert tail.size > 1000 and not tail.any() and np.signbit(tail).all()
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)],
+                             ids=["0", "1", "block-1", "block", "block+1"])
+    def test_gelu_block_boundaries(self, blocks, extra, rng, monkeypatch):
+        n = blocks * (T._BLOCK_BYTES // 4) + extra
+        v = rng.normal(scale=4.0, size=(n, 1, 1, 1)).astype(np.float32)
+        got = T.gelu(tensor(v)).numpy()
+        assert got.shape == v.shape
+        x = v.astype(np.float64)
+        want = 0.5 * x * (1.0 + np.vectorize(math.erf, otypes=[float])(x / math.sqrt(2.0)))
+        assert np.all(np.abs(got - want) <= 5e-7 * np.maximum(1.0, np.abs(x)))
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1 << 30)
+        assert T.gelu(tensor(v)).numpy().tobytes() == got.tobytes()
+
+    def test_gelu_one_element_blocks(self, rng, monkeypatch):
+        x = tensor(rng.normal(scale=4.0, size=(1, 3, 5, 7)).astype(np.float32))
+        want = T.gelu(x).numpy()
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 4)
+        assert T.gelu(x).numpy().tobytes() == want.tobytes()
+
+    def test_phi_of_a_strided_view(self, rng):
+        """A channel slice of a batch of two, as ``split_channels`` takes it,
+        is not contiguous: the kernel must still fill its fresh result."""
+        x = rand_t(rng, (2, 5, 4, 3))
+        view = x.numpy()[:, 2:]
+        assert not view.flags.c_contiguous
+        got = T._phi(view)
+        np.testing.assert_array_equal(got, T._phi(np.ascontiguousarray(view)))
+        want = 0.5 * (1.0 + np.vectorize(math.erf)(view.astype(np.float64) / math.sqrt(2.0)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=3e-7)
+        _, tail = T.split_channels(x, [2, 3])
+        np.testing.assert_array_equal(T.gelu(tail).numpy(), got * view)
+
+    def test_float32_forward_calls_no_scipy(self, monkeypatch):
+        import scipy.special
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy called on the float32 path")
+        bound = [name for name, obj in vars(T).items()
+                 if (getattr(obj, "__module__", None) or "").startswith("scipy")
+                 or obj is getattr(scipy.special, name, None)]
+        assert bound
+        cfg = ModelConfig.from_file(Path(__file__).parents[1] / "configs" / "mini.json")
+        model = build_model(cfg, seed=0)
+        frame = tensor(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
+        want = [h.numpy() for h in model(frame)]
+        for name in bound:
+            monkeypatch.setattr(T, name, refuse)
+        got = [h.numpy() for h in model(frame)]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestElementwise:
