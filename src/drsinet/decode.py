@@ -14,12 +14,12 @@ objectness * class_score reaches the threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .tensor import DomainError, ShapeError
+from .tensor import DomainError, ShapeError, _sigmoid
 
 # Per-keypoint falloff constants used directly in the similarity exponent
 # exp(-d^2 / (2 s^2 h_i^2)).  The public keypoint protocol publishes the
@@ -136,9 +136,9 @@ def decode(head, stride, anchors, conf_threshold, num_keypoints=17):
     t = data.reshape(n_anchor, fields, h, w)
     s = float(stride)
 
-    score = expit(t[:, 4].astype(np.float64)) * expit(t[:, 5].astype(np.float64))
+    score = _sigmoid(t[:, 4].astype(np.float64)) * _sigmoid(t[:, 5].astype(np.float64))
     a, i, j = np.nonzero(score >= conf_threshold)
-    sig = expit(t[a, :, i, j].astype(np.float64))       # (M, fields)
+    sig = _sigmoid(t[a, :, i, j].astype(np.float64))    # (M, fields)
 
     aw = np.array([p[0] for p in anchors], dtype=np.float64)[a]
     ah = np.array([p[1] for p in anchors], dtype=np.float64)[a]
@@ -167,7 +167,7 @@ def encode(box, keypoints, stride, anchor, cell, objectness=0.9,
     def inv(p, lo, hi, what):
         if not lo < p < hi:
             raise DomainError(f"{what} fraction {p} outside ({lo}, {hi})")
-        return logit(p)
+        return math.log(p / (1.0 - p))
 
     out[0] = inv((box[0] / s - j + 0.5) / 2.0, 0.0, 1.0, "center-x")
     out[1] = inv((box[1] / s - i + 0.5) / 2.0, 0.0, 1.0, "center-y")

@@ -168,12 +168,6 @@ class ModelConfig:
             raise ConfigError("num_keypoints must be >= 1")
         if self.channel_round < 1:
             raise ConfigError("channel_round must be >= 1")
-        # the layer tree holds only shapes until it is materialized
-        for name, p in Model(self).named_parameters():
-            if 4 * p.count() > MAX_PARAM_BYTES:
-                raise ConfigError(
-                    f"parameter {name} of shape {p.logical_shape} needs {4 * p.count()} "
-                    f"bytes, more than the {MAX_PARAM_BYTES} a weight archive entry holds")
 
     # -- scaling --------------------------------------------------------
 
@@ -392,6 +386,12 @@ class Model(Layer):
         self.heads = LayerList([
             Conv2d(c, cfg.head_channels(), 1, bias=True)
             for c in self.backbone.out_channels])
+        # the layer tree holds only shapes until it is materialized
+        for name, p in self.named_parameters():
+            if 4 * p.count() > MAX_PARAM_BYTES:
+                raise ConfigError(
+                    f"parameter {name} of shape {p.logical_shape} needs {4 * p.count()} "
+                    f"bytes, more than the {MAX_PARAM_BYTES} a weight archive entry holds")
 
     def forward(self, x):
         fp = self.backbone(x)
@@ -401,7 +401,6 @@ class Model(Layer):
 
 def build_model(cfg, seed=0):
     """Construct and deterministically initialize a model."""
-    cfg.validate()
     model = Model(cfg)
     model.finalize(seed)
     return model

@@ -21,7 +21,6 @@ from contextvars import ContextVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 __all__ = [
     "Tensor", "Parameter", "Tape", "ShapeError", "DomainError", "TapeError",
@@ -600,6 +599,7 @@ _PHI_P = tuple(np.float32(a) for a in (            # highest power first
     2.2901135e+03, 1.5403749e+04, 1.9012175e+05))
 _PHI_Q = tuple(np.float32(a) for a in (    # after an implied leading 1, highest first
     3.9163727e+01, 9.180218e+02, 1.3499198e+04, 1.1803907e+05, 4.7656453e+05))
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
 def _sigmoid(v):
@@ -615,15 +615,14 @@ def _sigmoid(v):
 def _phi(v):
     """Standard normal CDF ``(1 + erf(v / sqrt 2)) / 2`` as a fresh array.
 
-    float64 calls scipy's erf.  float32 evaluates the rational above on v
-    clamped to the fit interval, in blocks of ``_BLOCK_BYTES`` with in-place
-    ufuncs so its 27 passes stay in cache; the odd part is clipped to
-    [-1/2, 1/2], so beyond the clamp Phi is exactly 0 or 1.  Only the result
-    is written, so ``v`` may be any view.
+    float64 applies ``math.erf`` per element.  float32 evaluates the
+    rational above on v clamped to the fit interval, in blocks of
+    ``_BLOCK_BYTES`` with in-place ufuncs so its 27 passes stay in cache; the
+    odd part is clipped to [-1/2, 1/2], so beyond the clamp Phi is exactly 0
+    or 1.  Only the result is written, so ``v`` may be any view.
     """
     if v.dtype == np.float64:
-        cdf = np.multiply(v, _INV_SQRT2)
-        erf(cdf, out=cdf)
+        cdf = _erf(np.multiply(v, _INV_SQRT2))
         cdf += 1.0
         cdf *= 0.5
         return cdf

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from drsinet.decode import (
     DEFAULT_FALLOFF, Detections, FormatError, GroundTruthInstance,
@@ -96,7 +95,8 @@ def old_decode(head, stride, anchors, conf_threshold, num_keypoints=17):
     jj = np.arange(w).reshape(1, 1, w)
     ii = np.arange(h).reshape(1, h, 1)
     s = float(stride)
-    sig = expit(t)
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-t))
     obj = sig[:, 4]
     cls = sig[:, 5]
     keep = obj * cls >= conf_threshold
@@ -245,6 +245,28 @@ class TestDecode:
             np.testing.assert_allclose(dets.boxes[0], (bx, by, bw, bh), atol=1e-5)
             np.testing.assert_allclose(dets.keypoints[0, :, :2], kps[:, :2], atol=1e-5)
             assert dets.scores[0] == pytest.approx(0.81)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extreme_logits_saturate(self, dtype):
+        """Logits of +-1e4 and +-800, past where exp overflows, decode to the
+        exact limits 0 and 1 with no overflow warning (the suite turns a
+        RuntimeWarning into an error)."""
+        logits = np.resize([1e4, -800.0, 800.0, -1e4], 57)
+        logits[2:6] = (800.0, 1e4, 1e4, 800.0)     # box sides must stay > 0
+        head = np.full((1, 3 * 57, 3, 3), -800.0, dtype)
+        head[0, 4::57, 0] = -1e4
+        head[0, 2::57] = head[0, 3::57] = 1e4
+        head[0, 57:114, 2, 1] = logits
+        scores = decode(head, 8, ANCHORS, conf_threshold=0.0).scores
+        assert sorted(scores.tolist()) == [0.0] * 26 + [1.0]
+        dets = decode(head, 8, ANCHORS, conf_threshold=0.5)
+        sig = (logits > 0).astype(np.float64)
+        np.testing.assert_array_equal(dets.boxes, [[20.0, 12.0, 176.0, 160.0]])
+        np.testing.assert_array_equal(dets.scores, [1.0])
+        np.testing.assert_array_equal(dets.keypoints[0], np.stack([
+            ((2.0 * sig[6::3] - 0.5) * 4.0 - 0.5) * 8.0,
+            ((2.0 * sig[7::3] - 0.5) * 4.0 + 0.5) * 8.0,
+            sig[8::3]], axis=1))
 
     def test_encode_rejects_out_of_range(self):
         kps = np.full((17, 3), 0.5)

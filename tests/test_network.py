@@ -3,6 +3,7 @@ variants and end-to-end gradient checks."""
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from drsinet import tensor as T
 from drsinet.blocks import ConvBnSilu
 from drsinet.layers import Conv2d, Layer
-from drsinet.network import ConfigError, ModelConfig, Neck, build_model
+from drsinet.network import ConfigError, Model, ModelConfig, Neck, build_model
 from drsinet.profiler import trace
 from drsinet.tensor import ShapeError, grad_check, tensor
 
@@ -68,6 +69,20 @@ class TestModelConfig:
     def test_custom_needs_multipliers(self):
         with pytest.raises(ConfigError):
             ModelConfig(variant="custom")
+
+    def test_layer_tree_built_once(self, monkeypatch):
+        """Loading a config builds no layer; ``build_model`` builds one Model."""
+        built = []
+        init = Layer.__init__
+
+        def counting_init(self):
+            built.append(type(self))
+            init(self)
+        monkeypatch.setattr(Layer, "__init__", counting_init)
+        cfg = ModelConfig.from_file(Path(__file__).parents[1] / "configs" / "mini.json")
+        assert built == []
+        build_model(cfg, seed=0)
+        assert built.count(Model) == 1
 
     def test_head_channels(self):
         assert ModelConfig(variant="s").head_channels() == 171

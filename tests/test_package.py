@@ -1,6 +1,9 @@
 """Package root: public API imports and a smoke forward."""
 
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 
@@ -32,3 +35,12 @@ def test_root_api_smoke(rng):
 def test_all_exports_resolve():
     for name in drsinet.__all__:
         assert getattr(drsinet, name, None) is not None, name
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports the whole command-line surface has no scipy module loaded."""
+    src = str(Path(drsinet.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import drsinet.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code, src], check=True, timeout=60)

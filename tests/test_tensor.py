@@ -3,14 +3,12 @@ finite-difference gradient checks."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drsinet import tensor as T
 from drsinet.layers import Conv2d
-from drsinet.network import ModelConfig, build_model
 from drsinet.tensor import (
     DomainError, ShapeError, Tape, TapeError, Tensor, grad_check, tensor,
 )
@@ -347,24 +345,6 @@ class TestActivations:
         np.testing.assert_allclose(got, want, rtol=0, atol=3e-7)
         _, tail = T.split_channels(x, [2, 3])
         np.testing.assert_array_equal(T.gelu(tail).numpy(), got * view)
-
-    def test_float32_forward_calls_no_scipy(self, monkeypatch):
-        import scipy.special
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("scipy called on the float32 path")
-        bound = [name for name, obj in vars(T).items()
-                 if (getattr(obj, "__module__", None) or "").startswith("scipy")
-                 or obj is getattr(scipy.special, name, None)]
-        assert bound
-        cfg = ModelConfig.from_file(Path(__file__).parents[1] / "configs" / "mini.json")
-        model = build_model(cfg, seed=0)
-        frame = tensor(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
-        want = [h.numpy() for h in model(frame)]
-        for name in bound:
-            monkeypatch.setattr(T, name, refuse)
-        got = [h.numpy() for h in model(frame)]
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestElementwise:
