@@ -36,6 +36,12 @@ OKS_THRESHOLDS = np.linspace(0.5, 0.95, 10)
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 LARGE_AREA = 96.0 ** 2
 
+# Score-sorted rows per box_iou call in nms: the IoU matrix is (rows, alive),
+# never (n, n).  A block's later rows also score the candidates its earlier
+# rows drop, so long blocks waste work; at 16 rows the 16k candidates of
+# drsinet-s@640 at conf 0.25 make 2 MB float64 temporaries.
+_NMS_BLOCK_ROWS = 16
+
 
 class FormatError(ValueError):
     """A COCO-style keypoint file is not an array of well-formed entries."""
@@ -123,7 +129,12 @@ class KeypointSigmas:
 def decode(head, stride, anchors, conf_threshold, num_keypoints=17):
     """Decode one head tensor (batch 1) into the :class:`Detections` whose
     score ``objectness * class_score`` reaches the threshold, ordered by
-    (anchor, row, column)."""
+    (anchor, row, column).
+
+    A candidate whose width or height logit is so negative (below about
+    -373.5) that ``(2 sig)^2`` underflows to 0 is dropped: a box with a zero
+    side has no IoU and no OKS scale.
+    """
     data = head.numpy() if hasattr(head, "numpy") else np.asarray(head)
     if data.ndim != 4 or data.shape[0] != 1:
         raise ShapeError(f"head must be (1, c, h, w), got {data.shape}")
@@ -149,6 +160,9 @@ def decode(head, stride, anchors, conf_threshold, num_keypoints=17):
     keypoints = np.stack([((2.0 * sig[:, 6::3] - 0.5) * 4.0 - 1.5 + j[:, None]) * s,
                           ((2.0 * sig[:, 7::3] - 0.5) * 4.0 - 1.5 + i[:, None]) * s,
                           sig[:, 8::3]], axis=2)
+    sided = np.all(boxes[:, 2:] != 0.0, axis=1)
+    if not sided.all():         # copy only when a side underflowed
+        a, i, j, boxes, keypoints = a[sided], i[sided], j[sided], boxes[sided], keypoints[sided]
     return Detections(boxes, score[a, i, j], keypoints)
 
 
@@ -208,9 +222,12 @@ def box_iou(a, b):
 def nms(dets, iou_threshold):
     """Greedy suppression by descending score; ties keep input order.
 
-    Each kept box is compared, in one :func:`box_iou` row, with the
-    candidates still alive after it; those whose IoU is not at most the
-    threshold are dropped.  The kept rows come back in input order.
+    The score-sorted boxes are taken ``_NMS_BLOCK_ROWS`` at a time, and one
+    :func:`box_iou` call gives the block's rows against every candidate
+    still alive from the block on.  Within the block each surviving row
+    drops the later rows whose IoU is not at most the threshold; every
+    later candidate that a kept row of the block overlaps so is dropped
+    too.  The kept rows come back in input order.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise DomainError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
@@ -218,14 +235,19 @@ def nms(dets, iou_threshold):
     # the alive boxes, coordinate-major (4, n) so box_iou reads each
     # coordinate contiguously; column 0 is the best one left
     alive = np.ascontiguousarray(dets.boxes[order].T)
-    kept = []
+    kept = [order[:0]]                  # so that no boxes concatenate too
     while order.size:
-        kept.append(order[0])
-        keep = box_iou(alive[:, 0], alive[:, 1:].T) <= iou_threshold
-        order, alive = order[1:], alive[:, 1:]
-        if not keep.all():          # copy only when a box is dropped
-            order, alive = order[keep], alive[:, keep]
-    return dets[np.sort(np.asarray(kept, dtype=np.intp))]
+        b = min(_NMS_BLOCK_ROWS, order.size)
+        drop = ~(box_iou(alive[:, :b].T[:, None], alive.T[None]) <= iou_threshold)
+        inner = np.triu(drop[:, :b], 1)         # row r drops block row c > r
+        live = np.ones(b, dtype=bool)
+        for r in np.flatnonzero(inner.any(axis=1)).tolist():
+            if live[r]:
+                live &= ~inner[r]
+        kept.append(order[:b][live])
+        rest = ~drop[live, b:].any(axis=0)
+        order, alive = order[b:][rest], alive[:, b:][:, rest]
+    return dets[np.sort(np.concatenate(kept))]
 
 
 # ---------------------------------------------------------------------------
@@ -251,30 +273,34 @@ def oks(pred_keypoints, gt, sigmas=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _greedy_match(oks_rows, threshold, gt_ignore):
-    """Greedy matching at one threshold over a precomputed OKS matrix, given
-    as a list of rows.
+def _greedy_match(table, ignore):
+    """Greedy matching of every image at every OKS threshold at once, one
+    detection rank at a time.
 
-    Detections are row-ordered by descending score.  Returns per-detection
-    flags: 1 = matched a counted gt, 0 = unmatched, -1 = matched an ignored
-    gt.  Counted ground truths are preferred over ignored ones.
+    ``table`` (I, D, G) holds the OKS of each image's detections, ranked by
+    descending score, against its ground truths; NaN pads both.  ``ignore``
+    (I, G) marks the ignored ground truths.  A detection takes the untaken
+    gt with the highest OKS at or above the threshold, counted ones before
+    ignored ones, a tie going to the later gt.  Returns flags (I, T, D):
+    1 = matched a counted gt, 0 = unmatched, -1 = matched an ignored gt.
     """
-    n_gt = len(gt_ignore)
-    flags = np.zeros(len(oks_rows), dtype=np.int8)
-    taken = [False] * n_gt
-    order = sorted(range(n_gt), key=lambda g: gt_ignore[g])  # counted first
-    for d, row in enumerate(oks_rows):
-        best, best_oks = -1, threshold
-        for g in order:
-            if taken[g]:
-                continue
-            if best >= 0 and not gt_ignore[best] and gt_ignore[g]:
-                break  # a counted match is already in hand
-            if row[g] >= best_oks:
-                best, best_oks = g, row[g]
-        if best >= 0:
-            taken[best] = True
-            flags[d] = -1 if gt_ignore[best] else 1
+    n_img, n_det, n_gt = table.shape
+    thresholds = OKS_THRESHOLDS[:, None]
+    taken = np.zeros((n_img, len(OKS_THRESHOLDS), n_gt), dtype=bool)
+    flags = np.zeros((n_img, len(OKS_THRESHOLDS), n_det), dtype=np.int8)
+    img, thr = np.ogrid[:n_img, :len(OKS_THRESHOLDS)]
+    for r in range(n_det):
+        row = table[:, None, r]                         # (I, 1, G)
+        open_ = (row >= thresholds) & ~taken            # (I, T, G)
+        best, hit = [], []
+        for group in (open_ & ~ignore[:, None], open_ & ignore[:, None]):
+            # argmax over the reversed gt axis: the last of equal maxima
+            value = np.where(group, row, -np.inf)[..., ::-1]
+            best.append(n_gt - 1 - value.argmax(axis=-1))
+            hit.append(group.any(axis=-1))
+        counted, ignored = hit
+        taken[img, thr, np.where(counted, *best)] |= counted | ignored
+        flags[:, :, r] = np.where(counted, 1, np.where(ignored, -1, 0))
     return flags
 
 
@@ -296,53 +322,60 @@ def _average_precision(tp_flags, n_gt):
 
 
 def _score_images(preds_by_image, gts_by_image, sigmas, max_dets):
-    """Per image, by id: the scores and areas of its ``max_dets`` best
-    detections (best first, ties in input order), the areas of its ground
-    truths with visible keypoints, and the OKS matrix between the two."""
-    tables = []
-    for img in sorted(set(preds_by_image) | set(gts_by_image)):
-        dets = preds_by_image.get(img)
-        gts = [g for g in gts_by_image.get(img, []) if np.any(g.visible)]
-        if dets is None or not len(dets):
-            tables.append((np.zeros(0), np.zeros(0), [g.area for g in gts],
-                           np.zeros((0, len(gts)))))
+    """Images by id, padded to the most detections and ground truths any of
+    them has: each image's ``max_dets`` best detections (best first, ties
+    in input order) and its ground truths with visible keypoints.  Returns
+    the scores and areas of the detections (I, D), the areas of the ground
+    truths (I, G), masks of the real slots of both, and the OKS matrix
+    (I, D, G), NaN in the padding."""
+    images = sorted(set(preds_by_image) | set(gts_by_image))
+    dets, gts = [], []
+    for img in images:
+        d = preds_by_image.get(img)
+        dets.append(d[np.argsort(-d.scores, kind="stable")[:max_dets]]
+                    if d is not None and len(d) else None)
+        gts.append([g for g in gts_by_image.get(img, []) if np.any(g.visible)])
+    n_det = max([len(d) for d in dets if d is not None], default=0)
+    n_gt = max([1] + [len(g) for g in gts])     # one slot at least: an argmax axis
+    scores = np.zeros((len(images), n_det))
+    det_area = np.zeros((len(images), n_det))
+    det_real = np.zeros((len(images), n_det), dtype=bool)
+    gt_area = np.zeros((len(images), n_gt))
+    gt_real = np.zeros((len(images), n_gt), dtype=bool)
+    table = np.full((len(images), n_det, n_gt), np.nan)
+    for i, (d, g) in enumerate(zip(dets, gts)):
+        gt_area[i, :len(g)] = [inst.area for inst in g]
+        gt_real[i, :len(g)] = True
+        if d is None:
             continue
-        dets = dets[np.argsort(-dets.scores, kind="stable")[:max_dets]]
-        matrix = np.empty((len(dets), len(gts)), dtype=np.float64)
-        for g_idx, g in enumerate(gts):
-            matrix[:, g_idx] = oks(dets.keypoints, g, sigmas)
-        tables.append((dets.scores, dets.area, [g.area for g in gts], matrix))
-    return tables
+        scores[i, :len(d)] = d.scores
+        det_area[i, :len(d)] = d.area
+        det_real[i, :len(d)] = True
+        for k, inst in enumerate(g):
+            table[i, :len(d), k] = oks(d.keypoints, inst, sigmas)
+    return scores, det_area, det_real, gt_area, gt_real, table
 
 
 def _evaluate_pass(tables, area_range=None):
-    """One matching/accumulation pass over :func:`_score_images` tables;
-    optionally restricted by area."""
-    per_image = []
-    n_gt = 0
-    for _, det_area, gt_area, matrix in tables:
-        if area_range is None:
-            ignore = [False] * len(gt_area)
-            det_out = np.zeros(len(det_area), dtype=bool)
-        else:
-            lo, hi = area_range
-            ignore = [not (lo < a <= hi) for a in gt_area]
-            det_out = ~((lo < det_area) & (det_area <= hi))
-        n_gt += ignore.count(False)
-        per_image.append((matrix.tolist(), ignore, det_out))
-    scores = np.concatenate([t[0] for t in tables] + [np.zeros(0)])
-    order = np.argsort(-scores, kind="stable")
+    """One matching/accumulation pass over the :func:`_score_images`
+    arrays; optionally restricted by area."""
+    scores, det_area, det_real, gt_area, gt_real, table = tables
+    if area_range is None:
+        counted = gt_real
+        det_out = np.zeros(det_area.shape, dtype=bool)
+    else:
+        lo, hi = area_range
+        counted = gt_real & (lo < gt_area) & (gt_area <= hi)
+        det_out = ~((lo < det_area) & (det_area <= hi))
+    n_gt = int(np.count_nonzero(counted))
+    flags = _greedy_match(table, ~counted)
+    flags[(flags == 0) & det_out[:, None]] = -1   # unmatched out-of-range detection
+    # (T, N): every image's detections in image order, then ranked globally
+    order = np.argsort(-scores[det_real], kind="stable")
+    flags = flags.transpose(1, 0, 2)[:, det_real][:, order]
 
-    ap, rec = [], []
-    for t in OKS_THRESHOLDS:
-        flags = [np.zeros(0, dtype=np.int8)]
-        for rows, ignore, det_out in per_image:
-            f = _greedy_match(rows, t, ignore)
-            f[(f == 0) & det_out] = -1  # unmatched out-of-range detection
-            flags.append(f)
-        flags_arr = np.concatenate(flags)[order]
-        ap.append(_average_precision(flags_arr, n_gt))
-        rec.append(float(np.sum(flags_arr == 1)) / n_gt if n_gt else 0.0)
+    ap = [_average_precision(f, n_gt) for f in flags]
+    rec = [float(np.sum(f == 1)) / n_gt if n_gt else 0.0 for f in flags]
     return np.asarray(ap), np.asarray(rec)
 
 
@@ -391,11 +424,64 @@ def read_ground_truth(path):
             bbox = tuple(float(v) for v in ann.get("bbox", (0, 0, 0, 0)))
             area = float(ann.get("area", max(bbox[2] * bbox[3], 1.0)))
             image_id = int(ann["image_id"])
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+                OverflowError) as exc:
             raise _malformed(f"annotation {n}", exc) from None
         out.setdefault(image_id, []).append(
             GroundTruthInstance(keypoints=kps, area=area, bbox=bbox))
     return out
+
+
+class _BadEntry(Exception):
+    """``(position, error)`` of the first entry of one image's results that
+    fails, by its position among that image's entries."""
+
+
+def _image_arrays(keypoints, boxes):
+    """One image's results entries as keypoints (m, K, 3) and boxes (m, 4).
+
+    ``keypoints`` holds the entries' parsed JSON values, ``boxes`` their
+    (cx, cy, w, h) or None where the entry has no bbox (it gets the extent
+    of its keypoints, each side at least 1 px).  Raises :class:`_BadEntry`
+    for the first entry whose keypoints are not finite x, y, confidence
+    triples, or are empty with no bbox.  Returns keypoints None when the
+    entries hold different numbers of triples.
+    """
+    no_box = np.array([b is None for b in boxes])
+
+    def check(rows, start):
+        finite = np.isfinite(rows).all(axis=(1, 2))
+        bad = ~finite | (no_box[start:start + len(rows)] & (rows.shape[1] == 0))
+        if bad.any():
+            pos = int(np.argmax(bad))
+            raise _BadEntry(start + pos, ValueError(
+                "score and keypoints must be finite" if not finite[pos]
+                else "keypoints are empty and there is no bbox"))
+
+    try:
+        kps = np.array(keypoints, dtype=np.float64).reshape(len(keypoints), -1, 3)
+    except (TypeError, ValueError, OverflowError):
+        # ragged, nested or not numbers: the entries one by one, in order
+        parts = []
+        for pos, k in enumerate(keypoints):
+            try:
+                parts.append(np.asarray(k, dtype=np.float64).reshape(-1, 3)[None])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise _BadEntry(pos, exc) from None
+            check(parts[-1], pos)
+        if len({p.shape for p in parts}) > 1:
+            return None, None
+        kps = np.concatenate(parts)
+    check(kps, 0)
+    out = np.empty((len(boxes), 4))
+    if not no_box.all():
+        out[~no_box] = [b for b in boxes if b is not None]
+    if no_box.any():
+        xy = kps[no_box, :, :2]
+        lo = xy.min(axis=1)
+        side = np.maximum(xy.max(axis=1) - lo, 1.0)
+        out[no_box] = np.concatenate([lo + side / 2.0, side], axis=1)
+    return kps, out
 
 
 def read_results(path):
@@ -403,43 +489,53 @@ def read_results(path):
     rows in file order.
 
     An entry without a ``bbox`` gets the extent of its keypoints, each side
-    at least 1 px.  Raises :class:`FormatError` when the file is not an
-    array of objects with ``image_id``, ``score`` and ``keypoints`` (x, y,
-    confidence triples, one count per image), all finite.
+    at least 1 px.  Raises :class:`FormatError`, naming the first bad entry,
+    when the file is not an array of objects with ``image_id``, ``score``
+    and ``keypoints`` (x, y, confidence triples, one count per image), all
+    finite.  One Python pass reads each entry's scalar fields; each image's
+    keypoints are then checked and converted as one array.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise FormatError(f"{path}: results must be a JSON array")
-    rows = {}
+    rows = {}           # image id -> (entry index, keypoints, score, box) per entry
+    first_bad = None
     for n, item in enumerate(data):
         try:
-            kps = np.asarray(item["keypoints"], dtype=np.float64).reshape(-1, 3)
+            kps = item["keypoints"]
             score = float(item["score"])
-            if not (np.isfinite(score) and np.isfinite(kps).all()):
+            if not math.isfinite(score):
                 raise ValueError("score and keypoints must be finite")
             if "bbox" in item:
                 x, y, w, h = (float(v) for v in item["bbox"])
-                if not np.isfinite([x, y, w, h]).all():
+                if not all(map(math.isfinite, (x, y, w, h))):
                     raise ValueError("bbox must be finite")
+                box = (x + w / 2.0, y + h / 2.0, w, h)
             else:
-                x, y = kps[:, 0].min(), kps[:, 1].min()
-                w = max(float(kps[:, 0].max() - x), 1.0)
-                h = max(float(kps[:, 1].max() - y), 1.0)
+                box = None
             image_id = int(item["image_id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _malformed(f"results entry {n}", exc) from None
-        boxes, scores, keypoints = rows.setdefault(image_id, ([], [], []))
-        boxes.append((x + w / 2.0, y + h / 2.0, w, h))
-        scores.append(score)
-        keypoints.append(kps)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            first_bad = (n, exc)    # later entries cannot come first
+            break
+        rows.setdefault(image_id, []).append((n, kps, score, box))
+    arrays = {}
+    for image_id, entries in rows.items():
+        idx, kps, scores, boxes = zip(*entries)
+        try:
+            arrays[image_id] = _image_arrays(kps, boxes) + (scores,)
+        except _BadEntry as bad:
+            pos, exc = bad.args
+            if first_bad is None or idx[pos] < first_bad[0]:
+                first_bad = (idx[pos], exc)
+    if first_bad is not None:
+        raise _malformed(f"results entry {first_bad[0]}", first_bad[1])
     out = {}
-    for image_id in list(rows):
-        boxes, scores, keypoints = rows.pop(image_id)   # frees as it goes
-        if len({k.shape for k in keypoints}) > 1:
+    for image_id, (kps, boxes, scores) in arrays.items():
+        if kps is None:
             raise FormatError(f"results for image {image_id}: entries disagree "
                               "on the keypoint count")
-        out[image_id] = Detections(boxes, scores, keypoints)
+        out[image_id] = Detections(boxes, scores, kps)
     return out
 
 
@@ -457,5 +553,6 @@ def write_results(dets_by_image, path, category_id=1):
             items.append({"image_id": int(image_id),
                           "category_id": int(category_id),
                           "bbox": b, "score": s, "area": a, "keypoints": k})
+    text = json.dumps(items)      # the C encoder; json.dump iterates in Python
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(items, fh)
+        fh.write(text)

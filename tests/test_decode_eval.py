@@ -1,20 +1,22 @@
 """Anchor decoding round trips, NMS, keypoint similarity and the AP/AR
 protocol against an exhaustive-matching oracle; the array path against the
-per-object decode, NMS and writer it replaced."""
+per-object decode, NMS, writer and per-threshold matcher it replaced."""
 
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drsinet import decode as decode_module
 from drsinet.decode import (
     DEFAULT_FALLOFF, Detections, FormatError, GroundTruthInstance,
-    KeypointSigmas, OKS_THRESHOLDS, box_iou, decode, encode, evaluate, nms, oks,
-    read_ground_truth, read_results, write_results,
+    KeypointSigmas, LARGE_AREA, OKS_THRESHOLDS, box_iou, decode, encode,
+    evaluate, nms, oks, read_ground_truth, read_results, write_results,
 )
 from drsinet.network import ModelConfig, build_model
 from drsinet.tensor import DomainError, ShapeError, tensor
@@ -161,6 +163,88 @@ def old_write_results(dets_by_image, path, category_id=1):
         json.dump(items, fh)
 
 
+def old_read_results(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise FormatError(f"{path}: results must be a JSON array")
+    rows = {}
+    for n, item in enumerate(data):
+        try:
+            kps = np.asarray(item["keypoints"], dtype=np.float64).reshape(-1, 3)
+            score = float(item["score"])
+            if not (np.isfinite(score) and np.isfinite(kps).all()):
+                raise ValueError("score and keypoints must be finite")
+            if "bbox" in item:
+                x, y, w, h = (float(v) for v in item["bbox"])
+                if not np.isfinite([x, y, w, h]).all():
+                    raise ValueError("bbox must be finite")
+            else:
+                x, y = kps[:, 0].min(), kps[:, 1].min()
+                w = max(float(kps[:, 0].max() - x), 1.0)
+                h = max(float(kps[:, 1].max() - y), 1.0)
+            image_id = int(item["image_id"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"results entry {n}: {exc}") from None
+        boxes, scores, keypoints = rows.setdefault(image_id, ([], [], []))
+        boxes.append((x + w / 2.0, y + h / 2.0, w, h))
+        scores.append(score)
+        keypoints.append(kps)
+    out = {}
+    for image_id, (boxes, scores, keypoints) in rows.items():
+        if len({k.shape for k in keypoints}) > 1:
+            raise FormatError(f"results for image {image_id}: entries disagree "
+                              "on the keypoint count")
+        out[image_id] = Detections(boxes, scores, keypoints)
+    return out
+
+
+def random_results(rng):
+    """A results array of up to 7 entries over 3 images, each field often
+    missing, mistyped, non-finite, nested or of the wrong length."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def number():
+        return pick([1.5, 2, -3.25, 0.0, 7, 1e300])
+
+    def junk():
+        return pick(["a", "1.5", None, [1], {}, float("nan"), float("inf"), True])
+
+    def keypoints(k):
+        u = rng.random()
+        if u < 0.7:
+            flat = [number() for _ in range(3 * k)]
+            if flat and rng.random() < 0.1:
+                flat[int(rng.integers(len(flat)))] = junk()
+            return flat
+        if u < 0.8:
+            return [[number(), number(), number()] for _ in range(k)]
+        if u < 0.9:
+            return [number() for _ in range(3 * k + pick([1, 2]))]
+        return pick([[], 5, "abc", None, {"a": 1}, "123", [[1, 2], [3]]])
+
+    def entry(k):
+        if rng.random() < 0.01:
+            return pick([[1, 0.5], "x", 5, None])
+        item = {}
+        if rng.random() < 0.97:
+            item["keypoints"] = keypoints(k if rng.random() < 0.9 else pick([0, 1, 17]))
+        if rng.random() < 0.97:
+            item["score"] = number() if rng.random() < 0.95 else junk()
+        if rng.random() < 0.96:
+            item["image_id"] = pick([1, 2, 3]) if rng.random() < 0.95 else junk()
+        if rng.random() < 0.5:
+            item["bbox"] = ([pick([1.0, 2.0, 0.5, 3]) for _ in range(4)]
+                            if rng.random() < 0.9 else
+                            pick([5, [1, 2, 3], [1, float("inf"), 2, 3], "1234",
+                                  [1, 2, 0, 3], {"a": 1}]))
+        return item
+
+    k = pick([0, 1, 2, 17])
+    return [entry(k) for _ in range(int(rng.integers(0, 8)))]
+
+
 def old_oks(pred, gt, falloff=DEFAULT_FALLOFF):
     d2 = ((pred[:, 0] - gt.keypoints[:, 0]) ** 2
           + (pred[:, 1] - gt.keypoints[:, 1]) ** 2)
@@ -171,6 +255,84 @@ def old_oks(pred, gt, falloff=DEFAULT_FALLOFF):
 def old_objects(dets):
     return [OldDetection(tuple(b), float(s), 1.0, k)
             for b, s, k in zip(dets.boxes.tolist(), dets.scores, dets.keypoints)]
+
+
+def old_greedy_match(oks_rows, threshold, gt_ignore):
+    n_gt = len(gt_ignore)
+    flags = np.zeros(len(oks_rows), dtype=np.int8)
+    taken = [False] * n_gt
+    order = sorted(range(n_gt), key=lambda g: gt_ignore[g])  # counted first
+    for d, row in enumerate(oks_rows):
+        best, best_oks = -1, threshold
+        for g in order:
+            if taken[g]:
+                continue
+            if best >= 0 and not gt_ignore[best] and gt_ignore[g]:
+                break  # a counted match is already in hand
+            if row[g] >= best_oks:
+                best, best_oks = g, row[g]
+        if best >= 0:
+            taken[best] = True
+            flags[d] = -1 if gt_ignore[best] else 1
+    return flags
+
+
+def old_score_images(preds_by_image, gts_by_image, sigmas, max_dets):
+    tables = []
+    for img in sorted(set(preds_by_image) | set(gts_by_image)):
+        dets = preds_by_image.get(img)
+        gts = [g for g in gts_by_image.get(img, []) if np.any(g.visible)]
+        if dets is None or not len(dets):
+            tables.append((np.zeros(0), np.zeros(0), [g.area for g in gts],
+                           np.zeros((0, len(gts)))))
+            continue
+        dets = dets[np.argsort(-dets.scores, kind="stable")[:max_dets]]
+        matrix = np.empty((len(dets), len(gts)), dtype=np.float64)
+        for g_idx, g in enumerate(gts):
+            matrix[:, g_idx] = oks(dets.keypoints, g, sigmas)
+        tables.append((dets.scores, dets.area, [g.area for g in gts], matrix))
+    return tables
+
+
+def old_evaluate_pass(tables, area_range=None):
+    """AP and recall per threshold, and the matcher's flags of every
+    (threshold, image) pair, threshold-major."""
+    per_image = []
+    n_gt = 0
+    for _, det_area, gt_area, matrix in tables:
+        if area_range is None:
+            ignore = [False] * len(gt_area)
+            det_out = np.zeros(len(det_area), dtype=bool)
+        else:
+            lo, hi = area_range
+            ignore = [not (lo < a <= hi) for a in gt_area]
+            det_out = ~((lo < det_area) & (det_area <= hi))
+        n_gt += ignore.count(False)
+        per_image.append((matrix.tolist(), ignore, det_out))
+    scores = np.concatenate([t[0] for t in tables] + [np.zeros(0)])
+    order = np.argsort(-scores, kind="stable")
+
+    ap, rec, per_threshold = [], [], []
+    for t in OKS_THRESHOLDS:
+        flags = [np.zeros(0, dtype=np.int8)]
+        for rows, ignore, det_out in per_image:
+            f = old_greedy_match(rows, t, ignore)
+            per_threshold.append(f.copy())
+            f[(f == 0) & det_out] = -1  # unmatched out-of-range detection
+            flags.append(f)
+        flags_arr = np.concatenate(flags)[order]
+        ap.append(decode_module._average_precision(flags_arr, n_gt))
+        rec.append(float(np.sum(flags_arr == 1)) / n_gt if n_gt else 0.0)
+    return np.asarray(ap), np.asarray(rec), per_threshold
+
+
+def old_evaluate(preds_by_image, gts_by_image, sigmas=None, max_dets=20):
+    sigmas = sigmas or KeypointSigmas()
+    tables = old_score_images(preds_by_image, gts_by_image, sigmas, max_dets)
+    ap, recall, _ = old_evaluate_pass(tables)
+    ap_large, _, _ = old_evaluate_pass(tables, area_range=(LARGE_AREA, float("inf")))
+    return {"AP": float(ap.mean()), "AP50": float(ap[0]), "AP75": float(ap[5]),
+            "APL": float(ap_large.mean()), "AR": float(recall.mean())}
 
 
 class TestDetections:
@@ -268,6 +430,23 @@ class TestDecode:
             ((2.0 * sig[7::3] - 0.5) * 4.0 + 0.5) * 8.0,
             sig[8::3]], axis=1))
 
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_underflowed_side_dropped(self, side):
+        """A width (or height) logit of -800 at a passing cell makes
+        (2 sig)^2 underflow to 0: that candidate is dropped, the others come
+        back unchanged, with no DomainError and no RuntimeWarning."""
+        head = np.zeros((1, 3 * 57, 3, 3))
+        head[0, 4::57] = head[0, 5::57] = 5.0       # every cell passes
+        head[0, 57 + side, 1, 2] = -800.0            # anchor 1, cell (1, 2)
+        dets = decode(head, 8, ANCHORS, conf_threshold=0.5)
+        without = head.copy()
+        without[0, 57 + 4, 1, 2] = -30.0             # that cell fails instead
+        want = decode(without, 8, ANCHORS, conf_threshold=0.5)
+        assert len(dets) == len(want) == 26
+        np.testing.assert_array_equal(dets.boxes, want.boxes)
+        np.testing.assert_array_equal(dets.scores, want.scores)
+        np.testing.assert_array_equal(dets.keypoints, want.keypoints)
+
     def test_encode_rejects_out_of_range(self):
         kps = np.full((17, 3), 0.5)
         with pytest.raises(DomainError):
@@ -337,10 +516,22 @@ class TestNms:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("iou", [0.3, 0.5, 0.65])
     def test_matches_per_object_nms(self, seed, iou):
+        rng = np.random.default_rng(seed)
+        self.check_per_object_nms(rng, int(rng.integers(1, 200)), iou)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_matches_per_object_nms_at_block_edges(self, blocks, extra):
+        """1, B - 1, B, B + 1 and 2B + 1 boxes for B score-sorted rows per
+        box_iou block."""
+        n = blocks * decode_module._NMS_BLOCK_ROWS + extra
+        for seed in range(4):
+            for iou in (0.3, 0.65):
+                self.check_per_object_nms(np.random.default_rng(seed), n, iou)
+
+    @staticmethod
+    def check_per_object_nms(rng, n, iou):
         # integer-grid boxes and coarse scores: many duplicate boxes and
         # exact score ties
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 200))
         boxes = np.column_stack([rng.integers(0, 30, (n, 2)),
                                  rng.integers(1, 10, (n, 2))]).astype(np.float64)
         dets = boxes_only(boxes, rng.integers(1, 8, n) / 8.0)
@@ -579,6 +770,114 @@ class TestEvaluate:
         assert metrics["APL"] == 1.0 and metrics["AP"] == 1.0
 
 
+def matcher_case(rng):
+    """Seeded images with ground truths only, detections only, both, or
+    more than 20 detections.  Ground truths are small (ignored in the APL
+    pass) or large, and some are copied, exactly or with the other area,
+    so one detection ties exactly or finds a counted and an ignored match.
+    Some detections copy half the visible keypoints of a ground truth and
+    throw the rest far off, an OKS of exactly 0.5, the first threshold.
+    Scores are coarse, so they tie too."""
+    gts, preds = {}, {}
+    for img in range(int(rng.integers(0, 6))):
+        kind = int(rng.integers(4))     # 0 both, 1 gts only, 2 dets only, 3 crowded
+        n_gt = 0 if kind == 2 else int(rng.integers(1, 5))
+        n_det = (0 if kind == 1 else int(rng.integers(21, 28)) if kind == 3
+                 else int(rng.integers(1, 8)))
+        sides = (40.0, 130.0)
+        instances = [make_gt(rng, center=tuple(rng.uniform(60, 400, 2)),
+                             spread=float(rng.uniform(5, 80)),
+                             area=float(rng.choice(sides)) ** 2)
+                     for _ in range(n_gt)]
+        if n_gt and rng.random() < 0.7:
+            g = instances[int(rng.integers(n_gt))]
+            area = (g.area if rng.random() < 0.5
+                    else (sides[0] if g.area > LARGE_AREA else sides[1]) ** 2)
+            instances.insert(int(rng.integers(n_gt)),
+                             GroundTruthInstance(g.keypoints.copy(), area, g.bbox))
+        dets = []
+        for k in range(n_det):
+            target = instances[k % len(instances)] if instances else make_gt(rng)
+            det = perturbed_detection(rng, target, float(rng.uniform(0.0, 12.0)),
+                                      float(rng.integers(1, 5)) / 4.0)
+            if rng.random() < 0.2:
+                vis = np.flatnonzero(target.visible)
+                far = rng.choice(vis, size=len(vis) // 2, replace=False)
+                det.keypoints[0, :, :2] = target.keypoints[:, :2]
+                det.keypoints[0, far, 0] += 1e6
+            dets.append(det)
+            if rng.random() < 0.2:
+                dets.append(dets[-1])
+        if kind != 2 or rng.random() < 0.5:
+            gts[img] = instances
+        if dets:
+            preds[img] = Detections.concatenate(dets)
+        elif rng.random() < 0.5:
+            preds[img] = boxes_only(np.zeros((0, 4)), [])
+    return preds, gts
+
+
+class TestMatcher:
+    """The rank-by-rank matcher over every image and threshold at once
+    against the per-image, per-threshold greedy loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_threshold_matcher(self, seed):
+        rng = np.random.default_rng(seed)
+        sigmas = KeypointSigmas()
+        for _ in range(12):
+            preds, gts = matcher_case(rng)
+            old_tables = old_score_images(preds, gts, sigmas, 20)
+            _, _, det_real, gt_area, gt_real, table = decode_module._score_images(
+                preds, gts, sigmas, 20)
+            for area_range in (None, (LARGE_AREA, float("inf"))):
+                counted = gt_real
+                if area_range is not None:
+                    counted = gt_real & (area_range[0] < gt_area) & (gt_area <= area_range[1])
+                got = decode_module._greedy_match(table, ~counted)
+                _, _, want = old_evaluate_pass(old_tables, area_range)
+                for t in range(len(OKS_THRESHOLDS)):
+                    for i in range(len(old_tables)):
+                        np.testing.assert_array_equal(
+                            got[i, t, det_real[i]], want[t * len(old_tables) + i])
+            assert evaluate(preds, gts, sigmas) == old_evaluate(preds, gts, sigmas)
+
+    def test_cases_cover_ties_ignored_and_crowds(self):
+        """The seeded cases above reach every situation they are meant to."""
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(12):
+            preds, gts = matcher_case(rng)
+            for img in set(preds) | set(gts):
+                n_det = len(preds[img]) if img in preds else 0
+                areas = [g.area for g in gts.get(img, [])]
+                seen.add("gts only" if not n_det and areas else
+                         "dets only" if n_det and not areas else "both")
+                seen.update(["crowded"] * (n_det > 20))
+            for img, dets in preds.items():
+                instances = gts.get(img, [])
+                table = old_score_images({img: dets}, {img: instances},
+                                         KeypointSigmas(), 20)[0][3]
+                large = np.array([g.area > LARGE_AREA for g in instances
+                                  if np.any(g.visible)], dtype=bool)
+                above = table >= OKS_THRESHOLDS[0]
+                seen.update(["oks tie"] * any(len(set(row)) < len(row)
+                                              for row in table.tolist()))
+                seen.update(["counted and ignored open"]
+                            * bool(np.any(above[:, large].any(1) & above[:, ~large].any(1))))
+                seen.update(["oks at a threshold"] * bool(np.any(table == OKS_THRESHOLDS[0])))
+        assert seen >= {"gts only", "dets only", "both", "crowded", "oks tie",
+                        "counted and ignored open", "oks at a threshold"}
+
+    def test_empty_inputs(self, rng):
+        sigmas = KeypointSigmas()
+        empty = boxes_only(np.zeros((0, 4)), [])
+        for preds, gts in [({}, {}), ({4: empty}, {}), ({}, {4: []}),
+                           ({}, {2: [make_gt(rng)]}),
+                           ({2: perturbed_detection(rng, make_gt(rng), 1.0, 0.5)}, {})]:
+            assert evaluate(preds, gts, sigmas) == old_evaluate(preds, gts, sigmas)
+
+
 class TestCocoFiles:
     def test_round_trip(self, tmp_path, rng):
         gt = make_gt(rng, all_visible=True)
@@ -630,6 +929,12 @@ class TestCocoFiles:
           "bbox": [0.0, float("-inf"), 1.0, 1.0]}],
         [[1, 0.5]],
         {"image_id": 1},
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, "left", 0.5]}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5], "bbox": 5}],
+        [{"image_id": "x", "score": 0.5, "keypoints": [1.0, 2.0, 0.5]}],
+        [{"image_id": float("inf"), "score": 0.5, "keypoints": [1.0, 2.0, 0.5]}],
+        [{"image_id": 1, "score": 10 ** 400, "keypoints": [1.0, 2.0, 0.5]}],
+        [{"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 10 ** 400]}],
     ])
     def test_malformed_results_rejected(self, payload, tmp_path):
         path = tmp_path / "results.json"
@@ -637,9 +942,69 @@ class TestCocoFiles:
         with pytest.raises(FormatError):
             read_results(path)
 
+    @pytest.mark.parametrize("bad", [
+        {"image_id": 1, "score": 0.5, "keypoints": [1.0, "left", 0.5]},
+        {"image_id": 2, "score": 0.5, "keypoints": [1.0, 2.0, float("inf")]},
+        {"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0]},
+        {"image_id": 2, "score": 0.5, "keypoints": []},
+        {"image_id": "x", "score": 0.5, "keypoints": [1.0, 2.0, 0.5]},
+        {"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5], "bbox": 5},
+    ])
+    def test_first_bad_entry_named(self, bad, tmp_path):
+        """Entry 2 is named, whether its fault is found in the per-entry
+        pass or in its image's keypoint array, ahead of a later bad entry."""
+        good = {"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5]}
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([good, dict(good, image_id=2), bad, good,
+                                    {"image_id": 1, "keypoints": []}]))
+        with pytest.raises(FormatError, match="results entry 2"):
+            read_results(path)
+
+    def test_images_may_differ_in_keypoint_count(self, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([
+            {"image_id": 1, "score": 0.5, "keypoints": [1.0, 2.0, 0.5] * 17},
+            {"image_id": 2, "score": 0.4, "keypoints": [3.0, 4.0, 0.5] * 5},
+            {"image_id": 1, "score": 0.3, "keypoints": [5.0, 6.0, 0.5] * 17}]))
+        results = read_results(path)
+        assert results[1].keypoints.shape == (2, 17, 3)
+        assert results[2].keypoints.shape == (1, 5, 3)
+        np.testing.assert_array_equal(results[2].boxes, [[3.5, 4.5, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_entry_reader(self, seed, tmp_path):
+        """Seeded files, mostly malformed: the same Detections, or a
+        FormatError naming the same entry, as the per-entry reader."""
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "results.json"
+        for _ in range(150):
+            path.write_text(json.dumps(random_results(rng)))
+            try:
+                want = old_read_results(path)
+            except FormatError as exc:
+                entry = re.match(r"results entry \d+|results for image", str(exc))
+                with pytest.raises(FormatError, match=entry.group(0) + r"\b"):
+                    read_results(path)
+                continue
+            except DomainError:
+                with pytest.raises(DomainError):
+                    read_results(path)
+                continue
+            except OverflowError:       # an infinite image_id: now a FormatError
+                with pytest.raises(FormatError, match=r"results entry \d+"):
+                    read_results(path)
+                continue
+            got = read_results(path)
+            assert list(got) == list(want)
+            for image_id, dets in want.items():
+                np.testing.assert_array_equal(got[image_id].boxes, dets.boxes)
+                np.testing.assert_array_equal(got[image_id].scores, dets.scores)
+                np.testing.assert_array_equal(got[image_id].keypoints, dets.keypoints)
+
     @pytest.mark.parametrize("payload", [
         {"annotations": [{"image_id": 1, "area": 10.0}]},
         {"annotations": [{"keypoints": [1.0, 2.0, 2.0], "area": 10.0}]},
+        {"annotations": [{"image_id": float("inf"), "keypoints": [1.0, 2.0, 2.0]}]},
         {"images": []},
         [5],
     ])
