@@ -42,6 +42,10 @@ LARGE_AREA = 96.0 ** 2
 # drsinet-s@640 at conf 0.25 make 2 MB float64 temporaries.
 _NMS_BLOCK_ROWS = 16
 
+# Rows of the results array per json.dumps call in write_results: the row
+# dicts and the text of one block are all it holds at once.
+_WRITE_BLOCK_ROWS = 256
+
 
 class FormatError(ValueError):
     """A COCO-style keypoint file is not an array of well-formed entries."""
@@ -541,18 +545,25 @@ def read_results(path):
 
 def write_results(dets_by_image, path, category_id=1):
     """Write detections as a COCO keypoint results array: images by
-    ascending id, each image's rows in their order in its container."""
-    items = []
-    for image_id in sorted(dets_by_image):
-        dets = dets_by_image[image_id]
-        cx, cy, w, h = dets.boxes.T
-        bbox = np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1).tolist()
-        keypoints = dets.keypoints.reshape(len(dets), dets.keypoints.shape[1] * 3)
-        for b, s, a, k in zip(bbox, dets.scores.tolist(), dets.area.tolist(),
-                              keypoints.tolist()):
-            items.append({"image_id": int(image_id),
-                          "category_id": int(category_id),
-                          "bbox": b, "score": s, "area": a, "keypoints": k})
-    text = json.dumps(items)      # the C encoder; json.dump iterates in Python
+    ascending id, each image's rows in their order in its container.  The
+    bytes are those of one ``json.dumps`` of the whole array; the C encoder
+    runs on ``_WRITE_BLOCK_ROWS`` rows at a time, so the memory it takes
+    does not grow with the output."""
+    sep = ""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("[")
+        for image_id in sorted(dets_by_image):
+            dets = dets_by_image[image_id]
+            cx, cy, w, h = dets.boxes.T
+            bbox = np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1)
+            keypoints = dets.keypoints.reshape(len(dets), dets.keypoints.shape[1] * 3)
+            area = dets.area
+            for r0 in range(0, len(dets), _WRITE_BLOCK_ROWS):
+                rows = slice(r0, r0 + _WRITE_BLOCK_ROWS)
+                items = [{"image_id": int(image_id), "category_id": int(category_id),
+                          "bbox": b, "score": s, "area": a, "keypoints": k}
+                         for b, s, a, k in zip(bbox[rows].tolist(), dets.scores[rows].tolist(),
+                                               area[rows].tolist(), keypoints[rows].tolist())]
+                fh.write(sep + json.dumps(items)[1:-1])
+                sep = ", "
+        fh.write("]")

@@ -416,26 +416,50 @@ def _channel_grad(g, v):
     return None if v is None else g.sum(axis=(0, 2, 3)).reshape(v.shape)
 
 
-# Working-set size of one block of the blocked kernels: an output block and
-# its scratch stay in cache across the k*k taps of a shifted-view conv, or
-# across the passes of the float32 normal CDF (``_phi``).
+# Working-set size of one block of the float32 normal CDF (``_phi``): the
+# block stays in cache across its passes.
 _BLOCK_BYTES = 1 << 18
 
+# Bound on the column buffer of a k*k or depthwise conv forward: the window
+# columns of one block are copied into it, then consumed by one GEMM.  1 MB
+# was the fastest of 256 KB to 4 MB over the drsinet-s@640 call mix.
+_COLUMN_BYTES = 1 << 20
 
-def _tap(xp, u, v, stride, rows, wo, row0=0):
-    """View of the padded input that kernel tap (u, v) meets at the ``rows``
-    output rows from ``row0`` and at all ``wo`` output columns."""
-    r = row0 * stride + u
-    return xp[:, :, r:r + stride * (rows - 1) + 1:stride, v:v + stride * (wo - 1) + 1:stride]
+
+def _grouped_conv(xp, wg, k, stride, ho, wo):
+    """Cross-correlation of padded ``xp`` (n, g*ci, hp, wp) with grouped
+    weight ``wg`` (g, co, ci*k*k), as (n, g*co, ho, wo).  Per block of
+    groups, or of output rows of one group where a whole group does not
+    fit: one copy of the (ci*k*k, rows*wo) window columns of each group
+    into a buffer of at most ``_COLUMN_BYTES`` (one row if a row alone is
+    larger), then one batched GEMM into the block's output."""
+    g, co, kk = wg.shape
+    n = xp.shape[0]
+    wg = wg.astype(np.result_type(xp, wg), copy=False)
+    win = _windows(xp, k, stride)                             # (n, g*ci, ho, wo, k, k)
+    win = win.reshape(n, g, kk // (k * k), ho, wo, k, k).transpose(0, 1, 2, 5, 6, 3, 4)
+    out = np.empty((n, g, co, ho * wo), dtype=wg.dtype)
+    row_bytes = max(1, n * kk * wo * wg.itemsize)
+    rows = min(ho, max(1, _COLUMN_BYTES // row_bytes))
+    groups = max(1, _COLUMN_BYTES // (rows * row_bytes))
+    buf = np.empty(n * min(groups, g) * kk * rows * wo, dtype=wg.dtype)
+    for g0 in range(0, g, groups):
+        gb = min(groups, g - g0)
+        for i0 in range(0, ho, rows):
+            r = min(rows, ho - i0)
+            cols = buf[:n * gb * kk * r * wo].reshape((n, gb) + win.shape[2:5] + (r, wo))
+            np.copyto(cols, win[:, g0:g0 + gb, ..., i0:i0 + r, :])
+            np.matmul(wg[g0:g0 + gb], cols.reshape(n, gb, kk, r * wo),
+                      out=out[:, g0:g0 + gb, :, i0 * wo:(i0 + r) * wo])
+    return out.reshape(n, g * co, ho, wo)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Standard 2-D cross-correlation, weight (c_out, c_in, k, k).
 
-    A 1x1 stride-1 unpadded conv is one GEMM over the flattened image.  Any
-    other conv runs in blocks of output rows, each the sum of k*k GEMMs of a
-    tap's weight slice with that tap's shifted, strided view of the padded
-    input.  The im2col window matrix is built only by the backward.
+    A 1x1 stride-1 unpadded conv is one GEMM over the flattened image; any
+    other is ``_grouped_conv`` with one group: one GEMM of the
+    (c_out, c_in*k*k) weight per block of output rows.
     """
     co, ci, k, k2 = weight.shape
     if k != k2:
@@ -447,26 +471,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     ho, wo = _out_hw(h, w, k, stride, padding)
     xp = _pad_nchw(x.data, padding)
     if k == 1 and stride == 1 and padding == 0:
-        out = np.matmul(weight.data.reshape(co, ci), xp.reshape(n, ci, h * w))
+        out = np.matmul(weight.data.reshape(co, ci), xp.reshape(n, ci, h * w)).reshape(n, co, h, w)
     else:
-        taps = weight.data.transpose(2, 3, 0, 1).copy()      # (k, k, co, ci)
-        out = np.empty((n, co, ho * wo), dtype=np.result_type(xp, taps))
-        rows = max(1, _BLOCK_BYTES // max(1, n * co * wo * out.itemsize))
-        acc = np.empty((n, co, min(rows, ho) * wo), dtype=out.dtype)
-        tmp = np.empty_like(acc)
-        for i0 in range(0, ho, rows):
-            r = min(rows, ho - i0)
-            a, t = acc[:, :, :r * wo], tmp[:, :, :r * wo]
-            for u in range(k):
-                for v in range(k):
-                    view = _tap(xp, u, v, stride, r, wo, i0).reshape(n, ci, r * wo)
-                    if u == v == 0:
-                        np.matmul(taps[u, v], view, out=a)
-                    else:
-                        np.matmul(taps[u, v], view, out=t)
-                        a += t
-            out[:, :, i0 * wo:(i0 + r) * wo] = a
-    out = out.reshape(n, co, ho, wo)
+        out = _grouped_conv(xp, weight.data.reshape(1, co, ci * k * k), k, stride, ho, wo)
     if bias is not None:
         out += bias.data.reshape(1, co, 1, 1)
 
@@ -486,10 +493,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
     """Per-channel 2-D cross-correlation, weight (c, 1, k, k).
 
-    Runs in blocks of channels, each the k*k multiply-accumulates of a tap's
-    per-channel weight with that tap's shifted, strided view of the padded
-    input, into one output buffer.  The window view is built only by the
-    backward.
+    ``_grouped_conv`` with one group per channel: one batched GEMM of each
+    channel's (1, k*k) weight row with its window columns per block.
     """
     c_w, one, k, k2 = weight.shape
     if one != 1 or k != k2:
@@ -500,21 +505,7 @@ def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
         raise ShapeError(f"depthwise_conv2d expects {c_w} channels, got {c}")
     ho, wo = _out_hw(h, w, k, stride, padding)
     xp = _pad_nchw(x.data, padding)
-    w4 = weight.data.reshape(c, k, k, 1, 1)
-    out = np.empty((n, c, ho, wo), dtype=np.result_type(xp, w4))
-    chans = max(1, _BLOCK_BYTES // max(1, n * ho * wo * out.itemsize))
-    tmp = np.empty((n, min(chans, c), ho, wo), dtype=out.dtype)
-    for c0 in range(0, c, chans):
-        c1 = min(c, c0 + chans)
-        o, t = out[:, c0:c1], tmp[:, :c1 - c0]
-        for u in range(k):
-            for v in range(k):
-                view = _tap(xp[:, c0:c1], u, v, stride, ho, wo)
-                if u == v == 0:
-                    np.multiply(view, w4[c0:c1, u, v], out=o)
-                else:
-                    np.multiply(view, w4[c0:c1, u, v], out=t)
-                    o += t
+    out = _grouped_conv(xp, weight.data.reshape(c, 1, k * k), k, stride, ho, wo)
     if bias is not None:
         out += bias.data.reshape(1, c, 1, 1)
 

@@ -575,6 +575,26 @@ class TestForwardJson:
         write_results({1: empty, 2: dets, 3: empty}, tmp_path / "new.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_blocked_write_is_one_dumps(self, rows, tmp_path, monkeypatch):
+        """Rows encoded three at a time, across images of 0, 1 and ``rows``
+        rows, give the bytes of one ``json.dumps`` of the whole array."""
+        monkeypatch.setattr(decode_module, "_WRITE_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(rows)
+        pool = Detections.concatenate([perturbed_detection(rng, make_gt(rng), 1.0, 0.5)
+                                       for _ in range(8)])
+        dets = {4: pool[:rows], 2: pool[7:], 9: pool[:0]}
+        items = [{"image_id": image_id, "category_id": 1,
+                  "bbox": [cx - w / 2.0, cy - h / 2.0, w, h], "score": s, "area": w * h,
+                  "keypoints": k}
+                 for image_id in sorted(dets)
+                 for (cx, cy, w, h), s, k in zip(dets[image_id].boxes.tolist(),
+                                                 dets[image_id].scores.tolist(),
+                                                 dets[image_id].keypoints.reshape(-1, 51).tolist())]
+        write_results(dets, tmp_path / "new.json")
+        assert len(items) == rows + 1
+        assert (tmp_path / "new.json").read_text(encoding="utf-8") == json.dumps(items)
+
 
 class TestOks:
     def test_perfect_prediction(self, rng):

@@ -1,8 +1,7 @@
 """Golden forward fixture: seeded heads of the miniature config at 64² and of
 drsinet-s at 192², recorded from the im2col/einsum kernels before the
-forward was rewritten around shifted GEMMs.  Every kernel change since must
-keep each head level within a fixed fraction of that level's largest
-magnitude.
+first rewrite of the forward kernels.  Every kernel change since must keep
+each head level within a fixed fraction of that level's largest magnitude.
 
 Record (only ever from a known-good tree; the tolerance below is fixed and
 is never loosened):

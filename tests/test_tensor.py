@@ -2,6 +2,7 @@
 finite-difference gradient checks."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -168,9 +169,11 @@ _GRID = sorted({(k, s, p) for k in (1, 3, 5, 7) for s in (1, 2) for p in (0, k /
 class TestKernelOracleGrid:
     """Both convolution kernels against the loop oracles over kernel size,
     stride, padding, batch 0/1/2, odd h and w, both float widths and with and
-    without bias, at the default block size and at blocks of one output row
-    or channel.  Inputs are float32 values, so one float64 oracle run on
-    batch 2 serves both widths; batches 0 and 1 are its leading slices."""
+    without bias, at the default column bound, at one output row (and one
+    channel) per block, and at 20,000 bytes, where blocks of several rows or
+    channels end in a partial one.  Inputs are float32 values, so one float64
+    oracle run on batch 2 serves both widths; batches 0 and 1 are its leading
+    slices."""
 
     @staticmethod
     def _check(run, oracle, shapes, seed, stride, padding, monkeypatch):
@@ -178,9 +181,9 @@ class TestKernelOracleGrid:
         x, w, b = (None if s is None else rng.normal(size=s).astype(np.float32).astype(np.float64)
                    for s in shapes)
         want = oracle(x, w, b, stride, padding)
-        for block, dtype, tol in ((T._BLOCK_BYTES, np.float64, 1e-12), (1, np.float64, 1e-12),
-                                  (T._BLOCK_BYTES, np.float32, 2e-5)):
-            monkeypatch.setattr(T, "_BLOCK_BYTES", block)
+        for block, dtype, tol in ((T._COLUMN_BYTES, np.float64, 1e-12), (1, np.float64, 1e-12),
+                                  (20_000, np.float64, 1e-12), (T._COLUMN_BYTES, np.float32, 2e-5)):
+            monkeypatch.setattr(T, "_COLUMN_BYTES", block)
             for n in (0, 1, 2):
                 got = run(tensor(x[:n], dtype), tensor(w, dtype),
                           None if b is None else tensor(b, dtype), stride, padding)
@@ -200,6 +203,29 @@ class TestKernelOracleGrid:
         shapes = ((2, 3, 9, 7), (3, 1, k, k), (3,) if bias else None)
         self._check(T.depthwise_conv2d, naive_depthwise, shapes, 100 * k + 10 * stride + padding,
                     stride, padding, monkeypatch)
+
+
+@pytest.mark.parametrize("op, shapes, k", [
+    (T.conv2d, ((1, 64, 64, 64), (64, 64, 3, 3)), 3),
+    (T.depthwise_conv2d, ((1, 96, 64, 64), (96, 1, 7, 7)), 7),
+], ids=["conv3x3", "depthwise7x7"])
+def test_forward_transient_is_bounded(op, shapes, k, rng):
+    """The forward never holds the whole image's window columns: its peak
+    allocation is the output, the padded input and one column block."""
+    x, w = (tensor(rng.normal(size=s).astype(np.float32)) for s in shapes)
+    n, c, h, wd = shapes[0]
+    assert c * k * k * h * wd * 4 >= 8 * T._COLUMN_BYTES
+    out_bytes = shapes[1][0] * h * wd * 4
+    padded_bytes = c * (h + 2 * (k // 2)) * (wd + 2 * (k // 2)) * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y = op(x, w, None, 1, k // 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (n, shapes[1][0], h, wd)
+    assert peak <= out_bytes + padded_bytes + T._COLUMN_BYTES + (64 << 10)
 
 
 class TestNorms:
