@@ -10,12 +10,18 @@ Conventions, fixed once for the whole stack:
 * convolution is cross-correlation (no kernel flip), zero padding;
 * max pooling pads with ``-inf`` so padding never wins a window;
 * reductions use numpy's summation order, which is deterministic for a fixed
-  shape and thread count.
+  shape and thread count;
+* the output does not depend on the worker count: the heavy kernels split
+  fixed blocks of work across the CPUs the process may run on, and every
+  block is the same numpy call at any count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 import weakref
 from contextvars import ContextVar
 
@@ -363,6 +369,133 @@ def _emit(out, parents, backward, macs=0):
 
 
 # ---------------------------------------------------------------------------
+# intra-op worker pool
+# ---------------------------------------------------------------------------
+
+# The least work one range of a split kernel gets: multiply-accumulates for
+# the GEMMs, elements for element-wise passes.  Smaller work runs inline.  At
+# 2^23 MACs the miniature model's 4-block stem conv (0.75 ms on one worker)
+# split and ran twice as long; drsinet-s@640 ran the same at 2^23 and 2^24.
+_GEMM_GRAIN = 1 << 24
+_ELEMENT_GRAIN = 1 << 18
+
+# Chunks a split is cut into per worker, so that a worker whose CPU is busy
+# with other work takes fewer of them: with a busy loop on one of 2 CPUs,
+# one range per worker ran the drsinet-s@640 forward at 1.19 times the
+# one-worker time, four chunks per worker at 1.01 times.
+_CHUNKS_PER_WORKER = 4
+
+_WORKERS = None     # workers a split uses; set at the first dispatch
+_pool = []          # task queue of each started worker thread, by worker index
+_pool_lock = threading.Lock()
+
+
+def _worker_count():
+    """The CPUs this process may run on, while the BLAS runs one thread per
+    call (its setting, the first of the variables below that is set, is 1);
+    else 1.  A multi-threaded BLAS uses the CPUs itself: its threads spin
+    between calls, and two workers calling it at once made a 1x1 conv 15
+    times as slow on 2 CPUs."""
+    global _WORKERS
+    if _WORKERS is None:
+        setting = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                                "OMP_NUM_THREADS") if os.environ.get(v)), "")
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        _WORKERS = cpus if setting.strip() == "1" else 1
+    return _WORKERS
+
+
+def _run_chunks(fn, extra, bounds, claim, err, errors, i, done):
+    """Worker ``i``'s part of a split: chunks claimed one at a time, so a
+    worker slowed by other load leaves the rest to the others."""
+    try:
+        # a thread starts at numpy's default error state, not the caller's
+        with np.errstate(**err):
+            j = claim()
+            while j < len(bounds) - 1:
+                fn(bounds[j], bounds[j + 1], *extra)
+                j = claim()
+    except BaseException as exc:         # re-raised by the waiting caller
+        errors[i] = exc
+    done.put(i)
+
+
+def _serve(tasks, cpu):
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})      # this thread only
+        except OSError:
+            pass
+    while True:
+        # no reference to a finished split's arrays outlives the call
+        _run_chunks(*tasks.get())
+
+
+def _pool_queues(k):
+    """Task queues of the first ``k`` workers, started on first use; worker
+    ``i`` is pinned to the ``i``-th CPU the process may run on."""
+    from queue import SimpleQueue
+    with _pool_lock:
+        if len(_pool) < k:
+            cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
+            while len(_pool) < k:
+                tasks = SimpleQueue()
+                threading.Thread(target=_serve, args=(tasks, cpus[len(_pool) % len(cpus)]),
+                                 daemon=True, name=f"drsinet-worker-{len(_pool)}").start()
+                _pool.append(tasks)
+        return _pool[:k]
+
+
+def _forget_pool():
+    global _pool_lock
+    _pool.clear()
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's threads, nor its lock holders
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _parallel_for(n, fn, grain, scratch=None):
+    """Run ``fn(a, b)`` over contiguous ranges that cover ``[0, n)``.
+
+    The ranges are chunks of at least ``grain`` units, at most
+    ``_CHUNKS_PER_WORKER`` per worker; with one worker, or fewer than
+    ``2 * grain`` units, ``fn(0, n)`` runs inline.  Otherwise the workers
+    claim chunks in turn, under the caller's numpy error state, while the
+    caller waits: a worker woken by a caller that keeps running shares the
+    caller's CPU, while pinned workers do not.  Every chunk has finished
+    when this returns or raises; an error is raised after all workers are
+    joined, the first by worker index.  ``fn`` may touch numpy arrays only,
+    never the tape or the MAC counter.  With ``scratch``, the arguments of
+    ``np.empty``, every worker passes a buffer of its own as a third
+    argument; the caller allocates them, so no worker's heap keeps one.
+    """
+    units = n // max(1, grain)
+    k = min(_worker_count(), units)
+    if k < 2:
+        fn(0, n, *([np.empty(*scratch)] if scratch else []))
+        return
+    from queue import SimpleQueue
+    buffers = [(np.empty(*scratch),) if scratch else () for _ in range(k)]
+    chunks = min(units, _CHUNKS_PER_WORKER * k)
+    bounds = [n * j // chunks for j in range(chunks + 1)]
+    claim = itertools.count().__next__      # atomic under the GIL
+    err, errors, done = np.geterr(), [None] * k, SimpleQueue()
+    for i, tasks in enumerate(_pool_queues(k)):
+        tasks.put((fn, buffers[i], bounds, claim, err, errors, i, done))
+    for _ in range(k):
+        done.get()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+# ---------------------------------------------------------------------------
 # convolution family
 # ---------------------------------------------------------------------------
 
@@ -425,6 +558,16 @@ _BLOCK_BYTES = 1 << 18
 # was the fastest of 256 KB to 4 MB over the drsinet-s@640 call mix.
 _COLUMN_BYTES = 1 << 20
 
+# Copying one window column element into the buffer takes about as long as
+# this many GEMM multiply-accumulates (over the drsinet-s@640 convs), so a
+# block's work is its MACs plus this many per element it copies.
+_COPY_MACS = 16
+
+# The most GEMMs a 1x1 conv is cut into.  Each extra cut re-packs the operand
+# the GEMMs share: four cost 4-8% more one-core time than one on the
+# drsinet-s@640 shapes, eight 10-15%.
+_GEMM_CUTS = 4
+
 
 def _grouped_conv(xp, wg, k, stride, ho, wo):
     """Cross-correlation of padded ``xp`` (n, g*ci, hp, wp) with grouped
@@ -432,7 +575,8 @@ def _grouped_conv(xp, wg, k, stride, ho, wo):
     groups, or of output rows of one group where a whole group does not
     fit: one copy of the (ci*k*k, rows*wo) window columns of each group
     into a buffer of at most ``_COLUMN_BYTES`` (one row if a row alone is
-    larger), then one batched GEMM into the block's output."""
+    larger), then one batched GEMM into the block's output.  The blocks are
+    split across workers, each with a buffer of its own."""
     g, co, kk = wg.shape
     n = xp.shape[0]
     wg = wg.astype(np.result_type(xp, wg), copy=False)
@@ -442,16 +586,50 @@ def _grouped_conv(xp, wg, k, stride, ho, wo):
     row_bytes = max(1, n * kk * wo * wg.itemsize)
     rows = min(ho, max(1, _COLUMN_BYTES // row_bytes))
     groups = max(1, _COLUMN_BYTES // (rows * row_bytes))
-    buf = np.empty(n * min(groups, g) * kk * rows * wo, dtype=wg.dtype)
-    for g0 in range(0, g, groups):
-        gb = min(groups, g - g0)
-        for i0 in range(0, ho, rows):
-            r = min(rows, ho - i0)
+    blocks = [(g0, min(groups, g - g0), i0, min(rows, ho - i0))
+              for g0 in range(0, g, groups) for i0 in range(0, ho, rows)]
+
+    def run(a, b, buf):
+        for g0, gb, i0, r in blocks[a:b]:
             cols = buf[:n * gb * kk * r * wo].reshape((n, gb) + win.shape[2:5] + (r, wo))
             np.copyto(cols, win[:, g0:g0 + gb, ..., i0:i0 + r, :])
             np.matmul(wg[g0:g0 + gb], cols.reshape(n, gb, kk, r * wo),
                       out=out[:, g0:g0 + gb, :, i0 * wo:(i0 + r) * wo])
+
+    block_work = n * min(groups, g) * kk * rows * wo * (co + _COPY_MACS)
+    _parallel_for(len(blocks), run, -(-_GEMM_GRAIN // max(1, block_work)),
+                  scratch=(n * min(groups, g) * kk * rows * wo, wg.dtype))
     return out.reshape(n, g * co, ho, wo)
+
+
+def _gemm_1x1(w, x):
+    """``w`` (co, ci) times every image of ``x`` (n, ci, hw), as (n, co, hw).
+
+    One GEMM per cut, split across workers: 1, 2 or 4 cuts (a power of two,
+    so that two workers balance; at most ``_GEMM_CUTS``) of at least a grain
+    each, along the longer of co and hw, since each cut re-packs the other,
+    shared operand."""
+    co, ci = w.shape
+    n, _, hw = x.shape
+    by_rows = co > hw
+    length = co if by_rows else hw
+    macs = n * co * ci * hw
+    grains = min(length, _GEMM_CUTS, macs // max(1, _GEMM_GRAIN))
+    if grains < 2:
+        return np.matmul(w, x)
+    cuts = 1 << (grains.bit_length() - 1)
+    out = np.empty((n, co, hw), dtype=np.result_type(w, x))
+
+    def run(a, b):
+        for j in range(a, b):
+            s = slice(length * j // cuts, length * (j + 1) // cuts)
+            if by_rows:
+                np.matmul(w[s], x, out=out[:, s])
+            else:
+                np.matmul(w, x[:, :, s], out=out[:, :, s])
+
+    _parallel_for(cuts, run, 1)
+    return out
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -471,7 +649,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     ho, wo = _out_hw(h, w, k, stride, padding)
     xp = _pad_nchw(x.data, padding)
     if k == 1 and stride == 1 and padding == 0:
-        out = np.matmul(weight.data.reshape(co, ci), xp.reshape(n, ci, h * w)).reshape(n, co, h, w)
+        out = _gemm_1x1(weight.data.reshape(co, ci), xp.reshape(n, ci, h * w)).reshape(n, co, h, w)
     else:
         out = _grouped_conv(xp, weight.data.reshape(1, co, ci * k * k), k, stride, ho, wo)
     if bias is not None:
@@ -544,8 +722,14 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5):
     rv = _vec(running_var, c, "running_var")
     inv = 1.0 / np.sqrt(rv + eps)
     a = ga * inv                  # out = (x - mean) * inv * gamma + beta = x * a + b
-    out = x.data * a.reshape(1, c, 1, 1)
-    out += (be - rm * a).reshape(1, c, 1, 1)
+    a4, b4 = a.reshape(1, c, 1, 1), (be - rm * a).reshape(1, c, 1, 1)
+    out = np.empty(x.shape, dtype=np.result_type(x.data, a4))
+
+    def run(lo, hi):
+        np.multiply(x.data[:, lo:hi], a4[:, lo:hi], out=out[:, lo:hi])
+        out[:, lo:hi] += b4[:, lo:hi]
+
+    _parallel_for(c, run, -(-_ELEMENT_GRAIN // max(1, n * h * w)))
 
     def backward(g):
         xhat = (x.data - rm.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
@@ -593,52 +777,73 @@ _PHI_Q = tuple(np.float32(a) for a in (    # after an implied leading 1, highest
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
-def _sigmoid(v):
-    """``1 / (1 + exp(-v))`` as a fresh array.  Where ``exp(-v)`` overflows
-    to inf the result is the exact limit 0."""
-    s = np.negative(v)
-    with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    s += 1.0
-    return np.divide(1.0, s, out=s)
+def _sigmoid(v, silu=False):
+    """``1 / (1 + exp(-v))``, times ``v`` if ``silu``, as a fresh array, in
+    element ranges split across workers.  Where ``exp(-v)`` overflows to inf
+    the sigmoid is the exact limit 0."""
+    src = v.reshape(-1)
+    s = np.empty(v.shape, v.dtype)
+    dst = s.reshape(-1)
+
+    def run(a, b):
+        t = np.negative(src[a:b], out=dst[a:b])
+        with np.errstate(over="ignore"):
+            np.exp(t, out=t)
+        t += 1.0
+        np.divide(1.0, t, out=t)
+        if silu:
+            t *= src[a:b]
+
+    _parallel_for(dst.size, run, _ELEMENT_GRAIN)
+    return s
 
 
-def _phi(v):
-    """Standard normal CDF ``(1 + erf(v / sqrt 2)) / 2`` as a fresh array.
+def _phi(v, gelu=False):
+    """Standard normal CDF ``(1 + erf(v / sqrt 2)) / 2``, times ``v`` if
+    ``gelu``, as a fresh array.
 
     float64 applies ``math.erf`` per element.  float32 evaluates the
     rational above on v clamped to the fit interval, in blocks of
     ``_BLOCK_BYTES`` with in-place ufuncs so its 27 passes stay in cache; the
-    odd part is clipped to [-1/2, 1/2], so beyond the clamp Phi is exactly 0
-    or 1.  Only the result is written, so ``v`` may be any view.
+    blocks are split across workers, each with scratch of its own.  The odd
+    part is clipped to [-1/2, 1/2], so beyond the clamp Phi is exactly 0 or
+    1.  Only the result is written, so ``v`` may be any view.
     """
     if v.dtype == np.float64:
         cdf = _erf(np.multiply(v, _INV_SQRT2))
         cdf += 1.0
         cdf *= 0.5
+        if gelu:
+            cdf *= v
         return cdf
     out = np.empty(v.shape, np.float32)
     src, dst = v.reshape(-1), out.reshape(-1)
     step = max(1, _BLOCK_BYTES // out.itemsize)
-    scratch = np.empty((3, min(step, src.size)), np.float32)
-    for i in range(0, src.size, step):
-        x, q = src[i:i + step], dst[i:i + step]
-        t, y, p = scratch[:, :x.size]
-        np.clip(x, -_PHI_CLAMP, _PHI_CLAMP, out=t)
-        np.multiply(t, t, out=y)
-        np.multiply(y, _PHI_P[0], out=p)
-        p += _PHI_P[1]
-        for a in _PHI_P[2:]:
-            p *= y
-            p += a
-        np.add(y, _PHI_Q[0], out=q)
-        for b in _PHI_Q[1:]:
-            q *= y
-            q += b
-        p *= t
-        np.divide(p, q, out=p)
-        np.clip(p, -0.5, 0.5, out=p)
-        np.add(p, 0.5, out=q)
+
+    def run(first, last, scratch):
+        for i in range(first * step, min(last * step, src.size), step):
+            x, q = src[i:i + step], dst[i:i + step]
+            t, y, p = scratch[:, :x.size]
+            np.clip(x, -_PHI_CLAMP, _PHI_CLAMP, out=t)
+            np.multiply(t, t, out=y)
+            np.multiply(y, _PHI_P[0], out=p)
+            p += _PHI_P[1]
+            for a in _PHI_P[2:]:
+                p *= y
+                p += a
+            np.add(y, _PHI_Q[0], out=q)
+            for b in _PHI_Q[1:]:
+                q *= y
+                q += b
+            p *= t
+            np.divide(p, q, out=p)
+            np.clip(p, -0.5, 0.5, out=p)
+            np.add(p, 0.5, out=q)
+            if gelu:
+                q *= x
+
+    _parallel_for(-(-src.size // step), run, -(-_ELEMENT_GRAIN // step),
+                  scratch=((3, min(step, src.size)), np.float32))
     return out
 
 
@@ -653,12 +858,12 @@ def activation(x, kind):
     v = x.data
     taped = _ACTIVE_TAPE.get() is not None
     if kind == "silu":
-        s = _sigmoid(v)
-        out = v * s if taped else np.multiply(s, v, out=s)
+        s = _sigmoid(v, silu=not taped)
+        out = v * s if taped else s
         deriv = lambda: s * (1.0 + v * (1.0 - s))
     elif kind == "gelu":
-        cdf = _phi(v)
-        out = v * cdf if taped else np.multiply(cdf, v, out=cdf)
+        cdf = _phi(v, gelu=not taped)
+        out = v * cdf if taped else cdf
         deriv = lambda: cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT2PI
     elif kind == "sigmoid":
         out = _sigmoid(v)

@@ -3,11 +3,13 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from drsinet import cli
+from drsinet import tensor as T
 from drsinet.cli import main
 from drsinet.decode import DEFAULT_FALLOFF
 from drsinet.network import Model, ModelConfig, build_model
@@ -305,6 +307,10 @@ MALFORMED = {
         _config_case(depth_mult=math.inf), 1, "depth_mult must be finite and > 0"),
     "config depth_mult NaN": (
         _config_case(depth_mult=math.nan), 1, "depth_mult must be finite and > 0"),
+    # finite, but 4,500 blocks (1e6: 4.5e7) before any is built
+    "config depth_mult 100": (
+        _config_case(depth_mult=100), 1, "builds 4500 blocks, more than the 1000 allowed"),
+    "config depth_mult 1e6": (_config_case(depth_mult=1e6), 1, "blocks, more than the 1000"),
     "config width_mult negative": (
         _config_case(width_mult=-1.0), 1, "width_mult must be finite and > 0"),
     # finite, but its widest conv weight needs 27.6 GB
@@ -356,6 +362,26 @@ class TestMalformedInput:
         assert "Traceback" not in err and err.count("\n") == 1
         assert text in err
         assert not (tmp_path / "o.json").exists()
+
+
+def test_overflow_at_two_workers_prints_one_line(mini_cfg_file, tmp_path, capsys, monkeypatch):
+    """Worker ranges run under the forward's silenced error state: a frame
+    that overflows inside split kernels still gives one stderr line and no
+    RuntimeWarning."""
+    monkeypatch.setattr(T, "_WORKERS", 2)
+    monkeypatch.setattr(T, "_GEMM_GRAIN", 1)
+    monkeypatch.setattr(T, "_ELEMENT_GRAIN", 1)
+    weights = tmp_path / "w.drsi"
+    save_weights(build_model(ModelConfig.from_file(mini_cfg_file), seed=0), weights)
+    argv = _forward_case(np.full((1, 3, 64, 64), 3e38))(tmp_path, mini_cfg_file, weights)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1 and "non-finite values in the heads" in err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestGradcheckCommand:

@@ -6,9 +6,13 @@ each head level within a fixed fraction of that level's largest magnitude.
 Record (only ever from a known-good tree; the tolerance below is fixed and
 is never loosened):
 
-    PYTHONPATH=src python tests/test_golden_forward.py
+    PYTHONPATH=src python tests/test_golden_forward.py --record
+
+It prints each level's largest change against the existing fixture, then
+rewrites the fixture.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +49,16 @@ def test_heads_match_fixture(case):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: {sys.argv[0]} --record  (rewrites {FIXTURE})")
     arrays = {f"{case}_{i}": h for case in CASES for i, h in enumerate(heads(case))}
+    old = dict(np.load(FIXTURE)) if FIXTURE.exists() else {}
+    for key, new in arrays.items():
+        if key in old and old[key].shape == new.shape:
+            change = float(np.max(np.abs(new.astype(np.float64) - old[key])))
+            print(f"{key}: max change {change:.3e} = "
+                  f"{change / float(np.max(np.abs(old[key]))):.3e} of max |head|")
+        else:
+            print(f"{key}: new, shape {new.shape}")
     np.savez_compressed(FIXTURE, **arrays)
     print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes)")

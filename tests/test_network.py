@@ -28,6 +28,15 @@ def rand_image(rng, size, batch=1):
 
 
 class TestModelConfig:
+    @pytest.mark.parametrize("variant", ["s", "m", "l"])
+    @pytest.mark.parametrize("block", ["c3dr", "c3"])
+    def test_block_count_is_what_the_model_builds(self, variant, block):
+        from drsinet.blocks import Bottleneck, DrsiBlock
+        cfg = ModelConfig(variant=variant, backbone_block=block)
+        built = sum(isinstance(layer, (Bottleneck, DrsiBlock))
+                    for _, layer in Model(cfg).named_layers())
+        assert built == cfg.block_count()
+
     def test_variant_presets(self):
         s = ModelConfig(variant="s")
         assert (s.depth_mult, s.width_mult) == (0.33, 0.50)

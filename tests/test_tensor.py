@@ -2,6 +2,10 @@
 finite-difference gradient checks."""
 
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -205,13 +209,18 @@ class TestKernelOracleGrid:
                     stride, padding, monkeypatch)
 
 
-@pytest.mark.parametrize("op, shapes, k", [
-    (T.conv2d, ((1, 64, 64, 64), (64, 64, 3, 3)), 3),
-    (T.depthwise_conv2d, ((1, 96, 64, 64), (96, 1, 7, 7)), 7),
-], ids=["conv3x3", "depthwise7x7"])
-def test_forward_transient_is_bounded(op, shapes, k, rng):
+_CONV3X3 = (T.conv2d, ((1, 64, 64, 64), (64, 64, 3, 3)), 3)
+_DEPTHWISE7X7 = (T.depthwise_conv2d, ((1, 96, 64, 64), (96, 1, 7, 7)), 7)
+
+
+@pytest.mark.parametrize("op, shapes, k, workers", [
+    _CONV3X3 + (1,), _DEPTHWISE7X7 + (1,), _CONV3X3 + (2,), _DEPTHWISE7X7 + (2,),
+], ids=["conv3x3", "depthwise7x7", "conv3x3-2workers", "depthwise7x7-2workers"])
+def test_forward_transient_is_bounded(op, shapes, k, workers, rng, monkeypatch):
     """The forward never holds the whole image's window columns: its peak
-    allocation is the output, the padded input and one column block."""
+    allocation is the output, the padded input and one column block per
+    worker (both shapes split at two)."""
+    monkeypatch.setattr(T, "_WORKERS", workers)
     x, w = (tensor(rng.normal(size=s).astype(np.float32)) for s in shapes)
     n, c, h, wd = shapes[0]
     assert c * k * k * h * wd * 4 >= 8 * T._COLUMN_BYTES
@@ -225,7 +234,7 @@ def test_forward_transient_is_bounded(op, shapes, k, rng):
     finally:
         tracemalloc.stop()
     assert y.shape == (n, shapes[1][0], h, wd)
-    assert peak <= out_bytes + padded_bytes + T._COLUMN_BYTES + (64 << 10)
+    assert peak <= out_bytes + padded_bytes + workers * T._COLUMN_BYTES + (64 << 10)
 
 
 class TestNorms:
@@ -629,3 +638,154 @@ class TestDeterminism:
             return tape.grad_for(x).numpy().tobytes()
 
         assert run() == run()
+
+
+def _at_workers(monkeypatch, workers, run):
+    """``run()`` with ``workers`` workers and every grain at one unit, so
+    that even the smallest kernel call splits."""
+    monkeypatch.setattr(T, "_WORKERS", workers)
+    monkeypatch.setattr(T, "_GEMM_GRAIN", 1)
+    monkeypatch.setattr(T, "_ELEMENT_GRAIN", 1)
+    return run()
+
+
+class TestWorkers:
+    """The worker pool under the kernels: the worker count follows the CPUs
+    and the BLAS setting, the bytes do not follow the worker count, and
+    every range runs under the caller's numpy error state."""
+
+    @pytest.mark.parametrize("blas, workers", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, "cpus"), ({"OMP_NUM_THREADS": "1"}, "cpus"),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({"MKL_NUM_THREADS": "4"}, 1), ({}, 1)])
+    def test_worker_count_is_the_cpus_with_a_one_thread_blas(self, blas, workers, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", None)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in blas.items():
+            monkeypatch.setenv(var, value)
+        if workers == "cpus":
+            workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count())
+        assert T._worker_count() == workers
+
+    @pytest.mark.parametrize("column_bytes", [1, 20_000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_worker_count_keeps_oracle_grid_bytes(self, column_bytes, dtype, monkeypatch):
+        monkeypatch.setattr(T, "_COLUMN_BYTES", column_bytes)
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 64)
+        rng = np.random.default_rng(11)
+        b = tensor(rng.normal(size=3), dtype)
+        ga, be, rm = (rng.normal(size=3).astype(dtype) for _ in range(3))
+        rv = rng.uniform(0.5, 2.0, size=3).astype(dtype)
+        calls = []
+        for n in (0, 1, 2):
+            x = tensor(rng.normal(scale=3.0, size=(n, 3, 9, 7)), dtype)
+            calls.append(lambda x=x: T.batch_norm(x, ga, be, rm, rv))
+            calls += [lambda x=x, kind=kind: T.activation(x, kind)
+                      for kind in ("silu", "gelu", "sigmoid")]
+            for k, stride, padding in _GRID:
+                wc = tensor(rng.normal(size=(3, 3, k, k)), dtype)
+                wd = tensor(rng.normal(size=(3, 1, k, k)), dtype)
+                calls.append(lambda x=x, w=wc, s=stride, p=padding: T.conv2d(x, w, b, s, p))
+                calls.append(lambda x=x, w=wd, s=stride, p=padding:
+                             T.depthwise_conv2d(x, w, b, s, p))
+
+        def run():
+            return [f().numpy().tobytes() for f in calls]
+
+        want = _at_workers(monkeypatch, 1, run)
+        for workers in (2, 3):
+            assert _at_workers(monkeypatch, workers, run) == want, workers
+
+    @pytest.mark.parametrize("case", ["mini", "s"])
+    def test_worker_count_keeps_golden_heads(self, case, monkeypatch):
+        from test_golden_forward import heads
+
+        def run():
+            return [h.tobytes() for h in heads(case)]
+
+        want = _at_workers(monkeypatch, 1, run)
+        for workers in (2, 3):
+            assert _at_workers(monkeypatch, workers, run) == want, workers
+
+    def test_worker_count_keeps_taped_forward_and_backward(self, monkeypatch):
+        from drsinet.network import ModelConfig, build_model
+        model = build_model(ModelConfig(variant="custom", width_mult=0.005, depth_mult=0.2,
+                                        cbam_reduction=4), seed=0)
+        x = tensor(np.random.default_rng(3).standard_normal((1, 3, 64, 64)).astype(np.float32))
+
+        def run():
+            with Tape() as tape:
+                heads = model(x)
+            tape.backward(tensor(np.ones(heads[0].shape, np.float32)), output=heads[0])
+            grads = [p.grad.numpy().tobytes() for _, p in model.named_parameters()
+                     if p.grad is not None]
+            assert len(grads) > 100
+            return [h.numpy().tobytes() for h in heads] + grads + [tape.grad_for(x).numpy().tobytes()]
+
+        want = _at_workers(monkeypatch, 1, run)
+        for workers in (2, 3):
+            assert _at_workers(monkeypatch, workers, run) == want, workers
+
+    def test_worker_ranges_raise_under_the_callers_errstate(self, monkeypatch):
+        # split ranges all run on pool threads, which start at numpy's
+        # default error state ("warn")
+        v = np.ones((1, 4, 3, 3), np.float32)
+        v[0, 3] = 3e38
+        x, ones = tensor(v), np.ones(4, np.float32)
+        gamma = np.array([1, 1, 1, 10], np.float32)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                _at_workers(monkeypatch, 2, lambda: T.batch_norm(x, gamma, ones, ones, ones))
+        with np.errstate(over="ignore"):
+            y = _at_workers(monkeypatch, 2, lambda: T.batch_norm(x, gamma, ones, ones, ones))
+        assert np.isinf(y.numpy()[0, 3]).all() and np.isfinite(y.numpy()[0, :3]).all()
+
+    def test_worker_error_is_raised_after_every_range_joins(self, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", 3)
+        finished, raised = [], []
+
+        def fn(a, b):
+            if a == 0:
+                raise KeyError("first range")
+            time.sleep(0.05)
+            finished.append(a)
+
+        def call():
+            try:
+                T._parallel_for(3, fn, 1)
+            except KeyError as exc:
+                raised.append((str(exc), sorted(finished)))
+
+        t = threading.Thread(target=call)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert raised == [("'first range'", [1, 2])]
+
+    def test_worker_chunks_cover_every_unit_once_under_stress(self, monkeypatch):
+        """Two callers split at once over more workers than CPUs, with the
+        interpreter switching threads every microsecond: every unit of every
+        call is covered by exactly one chunk."""
+        monkeypatch.setattr(T, "_WORKERS", 5)
+        covered = {0: [], 1: []}
+
+        def caller(c):
+            for n in (2, 3, 7, 64, 1000):
+                seen = []
+                T._parallel_for(n, lambda a, b: seen.extend(range(a, b)), 1)
+                covered[c].append(sorted(seen) == list(range(n)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(c,)) for c in covered]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert covered == {0: [True] * 5, 1: [True] * 5}
