@@ -172,10 +172,13 @@ class ModelConfig:
             raise ConfigError("num_keypoints must be >= 1")
         if self.channel_round < 1:
             raise ConfigError("channel_round must be >= 1")
-        if self.block_count() > MAX_BLOCKS:
+        # bounded before rounding, which fails on a depth_mult * depth product
+        # past the float range
+        if (max(abs(d) for d in (3, *self.base_depths)) > MAX_BLOCKS / self.depth_mult
+                or self.block_count() > MAX_BLOCKS):
             raise ConfigError(
                 f"depth_mult {self.depth_mult!r} with base_depths {list(self.base_depths)} "
-                f"builds {self.block_count()} blocks, more than the {MAX_BLOCKS} allowed")
+                f"builds more than the {MAX_BLOCKS} blocks allowed")
 
     # -- scaling --------------------------------------------------------
 

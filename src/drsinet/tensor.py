@@ -385,27 +385,71 @@ _ELEMENT_GRAIN = 1 << 18
 # one-worker time, four chunks per worker at 1.01 times.
 _CHUNKS_PER_WORKER = 4
 
-_WORKERS = None     # workers a split uses; set at the first dispatch
+_CPUS = None        # CPUs the pool may use; counted at the first split
+_blas_query = None  # the loaded BLAS's thread-count function; found at the first split
 _pool = []          # task queue of each started worker thread, by worker index
 _pool_lock = threading.Lock()
 
+# cgroup v2 CPU limit of the process's group: "max <period>" or "<quota> <period>"
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
-def _worker_count():
-    """The CPUs this process may run on, while the BLAS runs one thread per
-    call (its setting, the first of the variables below that is set, is 1);
-    else 1.  A multi-threaded BLAS uses the CPUs itself: its threads spin
-    between calls, and two workers calling it at once made a 1x1 conv 15
-    times as slow on 2 CPUs."""
-    global _WORKERS
-    if _WORKERS is None:
-        setting = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                                                "OMP_NUM_THREADS") if os.environ.get(v)), "")
+
+def _usable_cpus():
+    """The CPUs this process may run on, bounded by its cgroup's CPU quota:
+    a 2-CPU quota on a larger host gives 2."""
+    global _CPUS
+    if _CPUS is None:
         try:
             cpus = len(os.sched_getaffinity(0))
         except AttributeError:
             cpus = os.cpu_count() or 1
-        _WORKERS = cpus if setting.strip() == "1" else 1
-    return _WORKERS
+        try:
+            with open(_CPU_MAX) as f:
+                quota, period = f.read().split()
+            if quota != "max":
+                cpus = min(cpus, max(1, -(-int(quota) // int(period))))
+        except (OSError, ValueError):
+            pass
+        _CPUS = cpus
+    return _CPUS
+
+
+def _find_blas_query():
+    """The thread-count function of the BLAS numpy loaded, or None."""
+    import ctypes
+    import sys
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            # the lookup searches numpy's core extension and the libraries it loaded
+            lib = ctypes.CDLL(sys.modules[name].__file__)
+        except (KeyError, AttributeError, TypeError, OSError):
+            continue        # not loaded, or a Python module of that name
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads",
+                       "MKL_Get_Max_Threads", "bli_thread_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return fn
+        return None
+    return None
+
+
+def _blas_threads():
+    """Threads the BLAS numpy loaded runs per call, as it reports them now
+    (so a limit set at run time counts); 0 where it cannot be asked."""
+    global _blas_query
+    if _blas_query is None:
+        _blas_query = _find_blas_query() or (lambda: 0)
+    return _blas_query()
+
+
+def _worker_count():
+    """The usable CPUs while the BLAS runs one thread per call, else 1.  A
+    multi-threaded BLAS uses the CPUs itself: its threads spin between
+    calls, and two workers calling it at once made a 1x1 conv 15 times as
+    slow on 2 CPUs."""
+    return _usable_cpus() if _blas_threads() == 1 else 1
 
 
 def _run_chunks(fn, extra, bounds, claim, err, errors, i, done):
@@ -476,7 +520,7 @@ def _parallel_for(n, fn, grain, scratch=None):
     argument; the caller allocates them, so no worker's heap keeps one.
     """
     units = n // max(1, grain)
-    k = min(_worker_count(), units)
+    k = min(_worker_count(), units) if units > 1 else 1
     if k < 2:
         fn(0, n, *([np.empty(*scratch)] if scratch else []))
         return
@@ -608,14 +652,16 @@ def _gemm_1x1(w, x):
     One GEMM per cut, split across workers: 1, 2 or 4 cuts (a power of two,
     so that two workers balance; at most ``_GEMM_CUTS``) of at least a grain
     each, along the longer of co and hw, since each cut re-packs the other,
-    shared operand."""
+    shared operand.  The cuts follow the shape alone, so the bytes do not
+    follow the worker count; a multi-threaded BLAS, under which the pool
+    never engages, gets one uncut GEMM."""
     co, ci = w.shape
     n, _, hw = x.shape
     by_rows = co > hw
     length = co if by_rows else hw
     macs = n * co * ci * hw
     grains = min(length, _GEMM_CUTS, macs // max(1, _GEMM_GRAIN))
-    if grains < 2:
+    if grains < 2 or _blas_threads() != 1:
         return np.matmul(w, x)
     cuts = 1 << (grains.bit_length() - 1)
     out = np.empty((n, co, hw), dtype=np.result_type(w, x))

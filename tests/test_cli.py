@@ -307,10 +307,14 @@ MALFORMED = {
         _config_case(depth_mult=math.inf), 1, "depth_mult must be finite and > 0"),
     "config depth_mult NaN": (
         _config_case(depth_mult=math.nan), 1, "depth_mult must be finite and > 0"),
-    # finite, but 4,500 blocks (1e6: 4.5e7) before any is built
+    # finite, but 4,500 blocks (1e6: 4.5e7) before any is built; at 1e308
+    # the depths times depth_mult pass the float range
     "config depth_mult 100": (
-        _config_case(depth_mult=100), 1, "builds 4500 blocks, more than the 1000 allowed"),
-    "config depth_mult 1e6": (_config_case(depth_mult=1e6), 1, "blocks, more than the 1000"),
+        _config_case(depth_mult=100), 1, "builds more than the 1000 blocks allowed"),
+    "config depth_mult 1e6": (_config_case(depth_mult=1e6), 1, "more than the 1000 blocks"),
+    "config depth_mult 1e308": (_config_case(depth_mult=1e308), 1, "more than the 1000 blocks"),
+    "config base_depths past float range": (
+        _config_case(base_depths=[3, 9, 10 ** 400, 3]), 1, "more than the 1000 blocks"),
     "config width_mult negative": (
         _config_case(width_mult=-1.0), 1, "width_mult must be finite and > 0"),
     # finite, but its widest conv weight needs 27.6 GB
@@ -368,7 +372,8 @@ def test_overflow_at_two_workers_prints_one_line(mini_cfg_file, tmp_path, capsys
     """Worker ranges run under the forward's silenced error state: a frame
     that overflows inside split kernels still gives one stderr line and no
     RuntimeWarning."""
-    monkeypatch.setattr(T, "_WORKERS", 2)
+    monkeypatch.setattr(T, "_worker_count", lambda: 2)
+    monkeypatch.setattr(T, "_blas_threads", lambda: 1)
     monkeypatch.setattr(T, "_GEMM_GRAIN", 1)
     monkeypatch.setattr(T, "_ELEMENT_GRAIN", 1)
     weights = tmp_path / "w.drsi"

@@ -3,6 +3,7 @@ finite-difference gradient checks."""
 
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -220,7 +221,7 @@ def test_forward_transient_is_bounded(op, shapes, k, workers, rng, monkeypatch):
     """The forward never holds the whole image's window columns: its peak
     allocation is the output, the padded input and one column block per
     worker (both shapes split at two)."""
-    monkeypatch.setattr(T, "_WORKERS", workers)
+    monkeypatch.setattr(T, "_worker_count", lambda: workers)
     x, w = (tensor(rng.normal(size=s).astype(np.float32)) for s in shapes)
     n, c, h, wd = shapes[0]
     assert c * k * k * h * wd * 4 >= 8 * T._COLUMN_BYTES
@@ -641,9 +642,11 @@ class TestDeterminism:
 
 
 def _at_workers(monkeypatch, workers, run):
-    """``run()`` with ``workers`` workers and every grain at one unit, so
-    that even the smallest kernel call splits."""
-    monkeypatch.setattr(T, "_WORKERS", workers)
+    """``run()`` with ``workers`` workers, a BLAS that reports one thread
+    and every grain at one unit, so that even the smallest kernel call
+    splits."""
+    monkeypatch.setattr(T, "_worker_count", lambda: workers)
+    monkeypatch.setattr(T, "_blas_threads", lambda: 1)
     monkeypatch.setattr(T, "_GEMM_GRAIN", 1)
     monkeypatch.setattr(T, "_ELEMENT_GRAIN", 1)
     return run()
@@ -651,23 +654,81 @@ def _at_workers(monkeypatch, workers, run):
 
 class TestWorkers:
     """The worker pool under the kernels: the worker count follows the CPUs
-    and the BLAS setting, the bytes do not follow the worker count, and
-    every range runs under the caller's numpy error state."""
+    and the threads the BLAS reports, the bytes do not follow the worker
+    count, and every range runs under the caller's numpy error state."""
 
-    @pytest.mark.parametrize("blas, workers", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, "cpus"), ({"OMP_NUM_THREADS": "1"}, "cpus"),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        ({"MKL_NUM_THREADS": "4"}, 1), ({}, 1)])
-    def test_worker_count_is_the_cpus_with_a_one_thread_blas(self, blas, workers, monkeypatch):
-        monkeypatch.setattr(T, "_WORKERS", None)
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in blas.items():
-            monkeypatch.setenv(var, value)
-        if workers == "cpus":
-            workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                       else os.cpu_count())
+    @pytest.mark.parametrize("blas, cpus, workers", [(1, 3, 3), (1, 1, 1), (4, 3, 1), (0, 3, 1)])
+    def test_worker_count_is_the_cpus_with_a_one_thread_blas(self, blas, cpus, workers,
+                                                             monkeypatch):
+        monkeypatch.setattr(T, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(T, "_CPUS", cpus)
         assert T._worker_count() == workers
+
+    def test_worker_count_follows_what_the_loaded_blas_reports(self):
+        """The BLAS is asked, not the environment: under numpy's OpenBLAS,
+        MKL_NUM_THREADS=1 alone leaves it at its default threads, and the
+        pool at one worker unless that default is one."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        code = ("import drsinet.tensor as T; q = T._find_blas_query(); "
+                "print(T._blas_threads(), T._worker_count(), T._usable_cpus(), "
+                "q.__name__ if q else '-')")
+
+        def ask(env):
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env={**base, **env, "PYTHONPATH": src}, check=True).stdout
+            blas, workers, cpus, name = out.split()
+            assert int(workers) == (int(cpus) if blas == "1" else 1)
+            return int(blas), name
+
+        default, name = ask({})
+        ones = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        assert ask(ones)[0] == (1 if name != "-" else 0)
+        if "openblas" in name:      # its own variable, then OpenMP's; capped at the CPUs
+            assert ask({"MKL_NUM_THREADS": "1"})[0] == default
+            assert ask({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"})[0] == min(2, default)
+            assert ask({"OMP_NUM_THREADS": "1"})[0] == 1
+
+    def test_usable_cpus_follow_the_cgroup_quota(self, tmp_path, monkeypatch):
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        cpu_max = tmp_path / "cpu.max"
+        for text, want in [("150000 100000\n", min(cpus, 2)), ("50000 100000\n", 1),
+                           ("max 100000\n", cpus), ("garbled\n", cpus), (None, cpus)]:
+            if text is not None:
+                cpu_max.write_text(text)
+            monkeypatch.setattr(T, "_CPU_MAX", str(cpu_max if text else tmp_path / "absent"))
+            monkeypatch.setattr(T, "_CPUS", None)
+            assert T._usable_cpus() == want, text
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_usable_cpu_runs_every_split_inline(self, rng, monkeypatch):
+        """Pinned to one CPU, with a one-thread BLAS and every grain at one
+        unit, the worker count reads 1 and no kernel starts a worker."""
+        def no_pool(k):
+            raise AssertionError(f"{k} workers started")
+
+        x = tensor(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
+        w1, w3 = (tensor(rng.normal(size=(8, 8, k, k)).astype(np.float32)) for k in (1, 3))
+        ones = np.ones(8, np.float32)
+        want = [T.conv2d(x, w1).numpy(), T.conv2d(x, w3, None, 1, 1).numpy()]
+        before = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(before)})         # the calling thread only
+        try:
+            monkeypatch.setattr(T, "_CPUS", None)
+            monkeypatch.setattr(T, "_blas_threads", lambda: 1)
+            monkeypatch.setattr(T, "_pool_queues", no_pool)
+            monkeypatch.setattr(T, "_GEMM_GRAIN", 1)
+            monkeypatch.setattr(T, "_ELEMENT_GRAIN", 1)
+            assert T._worker_count() == 1
+            got = [T.conv2d(x, w1).numpy(), T.conv2d(x, w3, None, 1, 1).numpy()]
+            for kind in ("silu", "gelu", "sigmoid"):
+                T.activation(x, kind)
+            T.batch_norm(x, ones, ones, ones, ones)
+        finally:
+            os.sched_setaffinity(0, before)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("column_bytes", [1, 20_000])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -743,7 +804,7 @@ class TestWorkers:
         assert np.isinf(y.numpy()[0, 3]).all() and np.isfinite(y.numpy()[0, :3]).all()
 
     def test_worker_error_is_raised_after_every_range_joins(self, monkeypatch):
-        monkeypatch.setattr(T, "_WORKERS", 3)
+        monkeypatch.setattr(T, "_worker_count", lambda: 3)
         finished, raised = [], []
 
         def fn(a, b):
@@ -768,7 +829,7 @@ class TestWorkers:
         """Two callers split at once over more workers than CPUs, with the
         interpreter switching threads every microsecond: every unit of every
         call is covered by exactly one chunk."""
-        monkeypatch.setattr(T, "_WORKERS", 5)
+        monkeypatch.setattr(T, "_worker_count", lambda: 5)
         covered = {0: [], 1: []}
 
         def caller(c):
