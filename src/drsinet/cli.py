@@ -14,7 +14,6 @@ import numpy as np
 
 from . import decode as D
 from . import profiler as P
-from . import selftest as S
 from .network import ConfigError, Model, ModelConfig
 from .tensor import DomainError, tensor
 
@@ -148,6 +147,7 @@ def _cmd_eval(args):
 
 
 def _cmd_gradcheck(args):
+    from . import selftest as S     # imported by the two commands that use it
     results = S.run_gradchecks(args.module, args.seed)
     worst = 0.0
     for name, err, bound in results:
@@ -158,6 +158,7 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_selftest(args):
+    from . import selftest as S
     results = S.run_selftest(quick=args.quick)
     failed = 0
     for r in results:

@@ -153,9 +153,8 @@ def save_weights(model, path):
             fh.write(raw)
             fh.write(struct.pack("<BB", 0, len(dims)))
             fh.write(struct.pack(f"<{len(dims)}I", *dims))
-            payload = np.ascontiguousarray(
-                p.value.numpy().reshape(dims), dtype="<f4")
-            fh.write(payload.tobytes())
+            # the array's own buffer: no bytes copy per entry
+            fh.write(np.ascontiguousarray(p.value.numpy(), dtype="<f4").data)
 
 
 def _read_exact(fh, n, what, size):

@@ -176,9 +176,7 @@ class Parameter:
             # variance flat through the multiplicative interaction stack; the
             # relu-gain bound sqrt(6/fan_in) overflows float32 at full depth
             fan_in = self.init[1]
-            bound = float(np.sqrt(3.0 / fan_in))
-            u = _named_uniform(seed, name, self.storage_shape)
-            arr = ((2.0 * u - 1.0) * bound).astype(np.float32)
+            arr = _seeded_uniform(seed, name, self.storage_shape, float(np.sqrt(3.0 / fan_in)))
         else:
             raise ValueError(f"unknown init kind {kind!r}")
         self._assign(Tensor(arr, copy=False))
@@ -196,19 +194,13 @@ class Parameter:
 
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+# splitmix64's xor-shift and multiply rounds, then the shift to 53 bits
+_SPLITMIX = tuple(np.uint64(c) for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, 11))
 
-
-def _splitmix64_stream(state, count):
-    """Deterministic 64-bit stream; the one RNG used for weight init.
-
-    The i-th draw mixes ``state + (i+1) * golden``; uint64 arithmetic wraps
-    modulo 2**64 by construction.
-    """
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(state & _MASK64) + idx * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+# Draws per block of the seeded init: the block's two 2^18-byte scratch
+# buffers and its output stay in a core's cache through its 13 passes.
+_INIT_BLOCK = 1 << 15
 
 
 def _fnv1a64(text):
@@ -218,11 +210,50 @@ def _fnv1a64(text):
     return h
 
 
-def _named_uniform(seed, name, shape):
-    """Uniform [0,1) values keyed by (seed, name); independent of build order."""
+def _seeded_uniform(seed, name, shape, bound):
+    """float32 values ``(2u - 1) * bound``, ``u`` uniform on [0, 1), keyed by
+    (seed, name) and so independent of build order; the one weight init.
+
+    Draw ``i`` is splitmix64 of ``state + (i+1) * golden`` (uint64 wraps)
+    and ``u`` is its top 53 bits times 2^-53.  A draw depends on its index
+    alone, so blocks of ``_INIT_BLOCK`` draws are split across workers, each
+    in place in a worker's scratch, and the bytes do not depend on the
+    worker count.  The value is the float64 ``(2u - 1) * bound`` rounded to
+    float32, computed exactly that way (see ``run``).
+    """
     state = (int(seed) & _MASK64) ^ _fnv1a64(name)
-    bits = _splitmix64_stream(state, int(np.prod(shape)))
-    return ((bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))).reshape(shape)
+    out = np.empty(shape, np.float32)
+    dst = out.reshape(-1)
+    n = dst.size
+    step = max(1, min(n, _INIT_BLOCK))
+    # per call and one block long at most: a module-level ramp would stay
+    # resident in every process that imports the package
+    ramp = np.arange(1, step + 1, dtype=np.uint64)
+    ramp *= np.uint64(_GOLDEN)
+    s1, m1, s2, m2, s3, s53 = _SPLITMIX
+    scale = bound * 2.0 ** -52
+
+    def run(first, last, scratch):
+        for i in range(first * step, min(last * step, n), step):
+            z, t = scratch[:, :min(step, n - i)]
+            np.add(ramp[:z.size], np.uint64((state + i * _GOLDEN) & _MASK64), out=z)
+            z ^= np.right_shift(z, s1, out=t)
+            z *= m1
+            z ^= np.right_shift(z, s2, out=t)
+            z *= m2
+            z ^= np.right_shift(z, s3, out=t)
+            np.right_shift(z, s53, out=t)
+            # 2u - 1 is exactly x * 2^-52 for the integer x = t - 2^52, so
+            # (2u - 1) * bound rounds once, as x * (bound * 2^-52) does;
+            # |x| <= 2^52 converts exactly, and from int64 faster than from
+            # uint64
+            x = t.view(np.int64)
+            x -= 1 << 52
+            v = np.multiply(x, scale, out=z.view(np.float64))
+            dst[i:i + v.size] = v
+
+    _parallel_for(-(-n // step), run, 1, scratch=((2, step), np.uint64))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1037,16 +1068,27 @@ def upsample_nearest2x(x):
 
 
 def max_pool(x, k, stride=1, padding=0):
-    """Max pooling; padding uses -inf so it never wins a window."""
+    """Max pooling; padding uses -inf so it never wins a window.
+
+    The forward is separable: the max over the k shifted rows, then over
+    the k shifted columns, in place; a NaN wins its window.  A window whose
+    max is a zero of both signs may give either sign, while the backward's
+    argmax routes the gradient to the first in row-major order.
+    """
     _check_conv_args(k, stride, padding)
     n, c, h, w = x.shape
     ho, wo = _out_hw(h, w, k, stride, padding)
     xp = _pad_nchw(x.data, padding, value=-np.inf)
-    win = _windows(xp, k, stride).reshape(n, c, ho, wo, k * k)
-    idx = win.argmax(axis=4)
-    out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+    hs, ws = stride * (ho - 1) + 1, stride * (wo - 1) + 1
+    rows = xp[:, :, :hs:stride].copy()
+    for u in range(1, k):
+        np.maximum(rows, xp[:, :, u:u + hs:stride], out=rows)
+    out = rows[..., :ws:stride].copy()
+    for v in range(1, k):
+        np.maximum(out, rows[..., v:v + ws:stride], out=out)
 
     def backward(g):
+        idx = _windows(xp, k, stride).reshape(n, c, ho, wo, k * k).argmax(axis=4)
         dxp = np.zeros(xp.shape, dtype=g.dtype)
         u, v = idx // k, idx % k
         ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")

@@ -41,8 +41,10 @@ def test_cli_import_loads_no_scipy():
     """numpy is the only runtime dependency: a fresh interpreter that
     imports the whole command-line surface has no scipy module loaded, nor
     ``concurrent.futures`` (which pulls in ``logging``), since the worker
-    pool is built on ``threading``."""
+    pool is built on ``threading``; nor ``drsinet.selftest``, which only the
+    gradcheck and selftest commands import."""
     src = str(Path(drsinet.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import drsinet.cli; "
-            "sys.exit(' '.join(sorted({'scipy', 'concurrent.futures'} & set(sys.modules))) or None)")
+            "sys.exit(' '.join(sorted({'scipy', 'concurrent.futures', 'drsinet.selftest'}"
+            " & set(sys.modules))) or None)")
     subprocess.run([sys.executable, "-c", code, src], check=True, timeout=60)

@@ -85,7 +85,7 @@ class TestProfile:
     def test_no_seeded_init_and_no_warnings(self, monkeypatch):
         def fail(*args):
             raise AssertionError("profile ran the seeded weight init")
-        monkeypatch.setattr(T, "_named_uniform", fail)
+        monkeypatch.setattr(T, "_seeded_uniform", fail)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = profile(ModelConfig(variant="l"), 1280)

@@ -1,6 +1,7 @@
 """Tensor core: primitive operations against brute-force oracles and
 finite-difference gradient checks."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from drsinet import tensor as T
 from drsinet.layers import Conv2d
@@ -403,6 +405,17 @@ class TestElementwise:
             T.add(rand_t(rng, (1, 2, 3, 3)), rand_t(rng, (1, 2, 3, 4)))
 
 
+def _window_argmax_max_pool(v, k, stride, padding):
+    """The max-pool forward as each k*k window's first argmax."""
+    n, c, h, w = v.shape
+    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, v.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = v
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = win.reshape(win.shape[:4] + (k * k,))
+    idx = win.argmax(axis=4)
+    return np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+
+
 class TestReshapeFamily:
     def test_concat_split_round_trip(self, rng):
         a, b = rand_t(rng, (2, 3, 4, 4)), rand_t(rng, (2, 5, 4, 4))
@@ -442,6 +455,24 @@ class TestReshapeFamily:
         x = tensor(np.full((1, 1, 4, 4), -2.0, np.float32))
         y = T.max_pool(x, 5, stride=1, padding=2)
         np.testing.assert_array_equal(y.numpy(), x.numpy())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9, 13])
+    def test_max_pool_bytes_match_the_window_argmax(self, k, dtype):
+        """The separable forward gives the bytes of the max taken as each
+        k*k window's argmax, NaN and +-inf inputs included."""
+        rng = np.random.default_rng(k)
+        for stride in (1, 2, 3):
+            for padding in range(k // 2 + 1):
+                for shape in ((2, 3, 17, 14), (1, 2, 13, 13)):
+                    v = rng.normal(size=shape).astype(dtype)
+                    flat = v.reshape(-1)
+                    at = rng.choice(flat.size, 30, replace=False)
+                    flat[at[:10]], flat[at[10:20]], flat[at[20:]] = np.nan, np.inf, -np.inf
+                    got = T.max_pool(tensor(v), k, stride, padding).numpy()
+                    want = _window_argmax_max_pool(v, k, stride, padding)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (stride, padding, shape)
 
     def test_space_to_depth_multiset(self):
         x = tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
@@ -652,6 +683,25 @@ def _at_workers(monkeypatch, workers, run):
     return run()
 
 
+def _whole_array_init(seed, name, shape, bound):
+    """The seeded init as one whole-array expression: the splitmix64 stream
+    of (seed, name), scaled to [0, 1) from its top 53 bits, then
+    ``(2u - 1) * bound`` in float64 rounded to float32."""
+    mask = (1 << 64) - 1
+    state = (int(seed) & mask) ^ T._fnv1a64(name)
+    idx = np.arange(1, int(np.prod(shape)) + 1, dtype=np.uint64)
+    z = np.uint64(state) + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    u = ((z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))).reshape(shape)
+    return ((2.0 * u - 1.0) * bound).astype(np.float32)
+
+
+# sha256 of configs/mini.json's seed-0 weight archive
+_MINI_SEED0_ARCHIVE = "1bac7ac9206fd3c5f34d3bf90a5738360682b8ea6403992f455c61795bdb7242"
+
+
 class TestWorkers:
     """The worker pool under the kernels: the worker count follows the CPUs
     and the threads the BLAS reports, the bytes do not follow the worker
@@ -758,6 +808,31 @@ class TestWorkers:
         want = _at_workers(monkeypatch, 1, run)
         for workers in (2, 3):
             assert _at_workers(monkeypatch, workers, run) == want, workers
+
+    @pytest.mark.parametrize("count", [1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 5])
+    def test_worker_count_keeps_the_seeded_init_bytes(self, count, monkeypatch):
+        """The blocked init gives the whole-array expression's bytes at any
+        worker count, for counts on and around the block size."""
+        for seed, name, bound in [(0, "backbone.stem.conv.weight", 0.125),
+                                  (-7, "x", math.sqrt(3.0 / 1152)), (2**70 + 3, "ü", 3.0)]:
+            want = _whole_array_init(seed, name, (1, count), bound).tobytes()
+            for workers in (1, 2, 3):
+                got = _at_workers(monkeypatch, workers,
+                                  lambda: T._seeded_uniform(seed, name, (1, count), bound))
+                assert got.dtype == np.float32 and got.shape == (1, count)
+                assert got.tobytes() == want, (seed, name, workers)
+
+    def test_worker_count_keeps_the_mini_archive(self, tmp_path, monkeypatch):
+        """configs/mini.json built from seed 0 and saved has the recorded
+        archive bytes at one and at three workers."""
+        from drsinet.network import ModelConfig, build_model
+        from drsinet.profiler import save_weights
+        cfg = ModelConfig.from_file(os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "mini.json"))
+        for workers in (1, 3):
+            path = tmp_path / f"mini-{workers}.drsi"
+            _at_workers(monkeypatch, workers, lambda: save_weights(build_model(cfg, seed=0), path))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == _MINI_SEED0_ARCHIVE, workers
 
     @pytest.mark.parametrize("case", ["mini", "s"])
     def test_worker_count_keeps_golden_heads(self, case, monkeypatch):
