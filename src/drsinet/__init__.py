@@ -8,10 +8,9 @@ importable from the package root.
 
 from .tensor import Parameter, Tape, Tensor, grad_check, mac_counter
 from .interactions import ChannelScheme, ResGnConv, build_scheme
-from .blocks import (
-    C3, C3dr, Cbam, ConvBnSilu, DrsiBlock, Focus, InvertedBottleneck, Spp,
-)
-from .network import FeaturePyramid, Model, ModelConfig, build_model
+from .layers import ConvBnSilu
+from .blocks import C3, C3dr, Cbam, DrsiBlock, Focus, InvertedBottleneck, Spp
+from .network import Model, ModelConfig, build_model
 from .decode import (
     Detections, GroundTruthInstance, KeypointSigmas, encode, evaluate, nms, oks,
 )
@@ -26,7 +25,7 @@ __all__ = [
     "ChannelScheme", "ResGnConv", "build_scheme",
     "C3", "C3dr", "Cbam", "ConvBnSilu", "DrsiBlock", "Focus",
     "InvertedBottleneck", "Spp",
-    "FeaturePyramid", "Model", "ModelConfig", "build_model",
+    "Model", "ModelConfig", "build_model",
     "Detections", "GroundTruthInstance", "KeypointSigmas", "encode",
     "evaluate", "nms", "oks",
     "ProfileReport", "load_weights", "profile", "save_weights", "trace",

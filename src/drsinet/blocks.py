@@ -4,20 +4,8 @@ from __future__ import annotations
 
 from . import tensor as T
 from .interactions import ResGnConv
-from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, LayerList, LayerNorm2d
+from .layers import BatchNorm2d, Conv2d, ConvBnSilu, DepthwiseConv2d, Layer, LayerList, LayerNorm2d
 from .tensor import DomainError, ShapeError
-
-
-class ConvBnSilu(Layer):
-    """Convolution + batch norm + SiLU; padding is always k//2."""
-
-    def __init__(self, c_in, c_out, k=1, stride=1):
-        super().__init__()
-        self.conv = Conv2d(c_in, c_out, k, stride=stride, padding=k // 2, bias=False)
-        self.bn = BatchNorm2d(c_out)
-
-    def forward(self, x):
-        return T.silu(self.bn(self.conv(x)))
 
 
 class Focus(Layer):

@@ -137,7 +137,7 @@ def _cmd_eval(args):
     sigmas = None
     if args.sigmas:
         with open(args.sigmas, "r", encoding="utf-8") as fh:
-            sigmas = D.KeypointSigmas(np.asarray(json.load(fh), dtype=np.float64))
+            sigmas = D.KeypointSigmas(json.load(fh))
     gts = D.read_ground_truth(args.gt)
     preds = D.read_results(args.pred)
     metrics = D.evaluate(preds, gts, sigmas)

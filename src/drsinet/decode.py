@@ -116,14 +116,18 @@ class GroundTruthInstance:
 
 @dataclass
 class KeypointSigmas:
-    """Per-keypoint falloff constants; all positive."""
+    """Per-keypoint falloff constants; all finite and positive."""
 
     falloff: np.ndarray = field(default_factory=lambda: DEFAULT_FALLOFF.copy())
 
     def __post_init__(self):
-        self.falloff = np.asarray(self.falloff, dtype=np.float64).reshape(-1)
-        if np.any(self.falloff <= 0):
-            raise DomainError("falloff constants must be positive")
+        try:
+            self.falloff = np.asarray(self.falloff, dtype=np.float64).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"falloff constants must be numbers: {exc}") from None
+        # NaN fails every comparison, so the test is written to fail closed
+        if not np.all(np.isfinite(self.falloff) & (self.falloff > 0)):
+            raise DomainError("falloff constants must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +273,9 @@ def oks(pred_keypoints, gt, sigmas=None):
         raise DomainError("ground-truth instance has no visible keypoints")
     if pred.ndim < 2 or pred.shape[-2:] != gt.keypoints.shape:
         raise ShapeError("prediction and ground truth disagree on keypoint count")
+    if sigmas.falloff.shape != (len(gt.keypoints),):
+        raise ShapeError(f"{sigmas.falloff.size} falloff constants for "
+                         f"{len(gt.keypoints)} keypoints")
     d2 = ((pred[..., 0] - gt.keypoints[:, 0]) ** 2
           + (pred[..., 1] - gt.keypoints[:, 1]) ** 2)
     s2 = float(gt.area)
@@ -428,6 +435,10 @@ def read_ground_truth(path):
             bbox = tuple(float(v) for v in ann.get("bbox", (0, 0, 0, 0)))
             area = float(ann.get("area", max(bbox[2] * bbox[3], 1.0)))
             image_id = int(ann["image_id"])
+            if not np.isfinite(kps).all():
+                raise ValueError("keypoints must be finite")
+            if not (math.isfinite(area) and area > 0):
+                raise ValueError(f"area must be > 0 and finite, got {area}")
         except (KeyError, TypeError, ValueError, IndexError, AttributeError,
                 OverflowError) as exc:
             raise _malformed(f"annotation {n}", exc) from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, LayerList
+from .layers import Conv2d, ConvBnSilu, DepthwiseConv2d, Layer, LayerList
 from .tensor import DomainError, ShapeError
 
 DW_KERNEL = 7  # depthwise spatial-mixing kernel, fixed for this operator family
@@ -52,18 +52,6 @@ def build_scheme(c, n):
     return ChannelScheme(c=c, n=n, c_k=c_k, c_0=c_0, c_q=c_q)
 
 
-class _OrderProjection(Layer):
-    """Pointwise projection g_k: conv 1x1 (c_prev -> c_next), BN, SiLU."""
-
-    def __init__(self, c_prev, c_next):
-        super().__init__()
-        self.conv = Conv2d(c_prev, c_next, 1, bias=False)
-        self.bn = BatchNorm2d(c_next)
-
-    def forward(self, x):
-        return T.silu(self.bn(self.conv(x)))
-
-
 class ResGnConv(Layer):
     """Recursive (residual) gated convolution over C channels.
 
@@ -82,26 +70,18 @@ class ResGnConv(Layer):
         self.residual_enabled = bool(residual_enabled)
         self.phi_in = Conv2d(c, 2 * c, 1, bias=True)
         self.dw = DepthwiseConv2d(self.scheme.c_q, DW_KERNEL, bias=True)
-        self.g_k = LayerList([_OrderProjection(self.scheme.c_k[k - 1], self.scheme.c_k[k])
+        # g_k: pointwise projection to the next order's width
+        self.g_k = LayerList([ConvBnSilu(self.scheme.c_k[k - 1], self.scheme.c_k[k], 1)
                               for k in range(1, n)])
         self.phi_out = Conv2d(c, c, 1, bias=True)
 
     def forward(self, x):
-        y, _ = self._forward_impl(x, want_intermediates=False)
-        return y
-
-    def forward_detailed(self, x):
-        """Forward that also returns per-order intermediates for verification."""
-        return self._forward_impl(x, want_intermediates=True)
-
-    def _forward_impl(self, x, want_intermediates):
         sch = self.scheme
         if x.shape[1] != sch.c:
             raise ShapeError(f"expected {sch.c} channels, got {x.shape[1]}")
         proj = self.phi_in(x)
         p0, q_bundle = T.split_channels(proj, [sch.c_0, sch.c_q])
         fq = T.split_channels(self.dw(q_bundle), list(sch.c_k))
-        trace = {"p": [p0], "s": [], "fq": fq} if want_intermediates else None
         p = p0
         for k in range(sch.n):
             s = p if k == 0 else self.g_k[k - 1](p)
@@ -110,7 +90,4 @@ class ResGnConv(Layer):
                 p = T.scale(T.add(T.add(s, fq[k]), interaction), 1.0 / self.lam)
             else:
                 p = interaction
-            if want_intermediates:
-                trace["s"].append(s)
-                trace["p"].append(p)
-        return self.phi_out(p), trace
+        return self.phi_out(p)

@@ -1,4 +1,5 @@
-"""Layer tree plumbing: named parameters, deterministic init, leaf layers.
+"""Layer tree plumbing: named parameters, deterministic init, leaf layers
+and the conv + BN + SiLU unit the blocks and interactions share.
 
 A ``Layer`` owns :class:`~drsinet.tensor.Parameter` objects and child layers;
 attribute assignment registers them, and parameter names are the dotted
@@ -82,10 +83,10 @@ class Layer:
 
 
 def _output_shape(out):
-    """Shape of a layer output; a list or pyramid of tensors gives one per level."""
+    """Shape of a layer output; a list of tensors gives one per level."""
     if isinstance(out, T.Tensor):
         return out.shape
-    return tuple(t.shape for t in getattr(out, "levels", out))
+    return tuple(t.shape for t in out)
 
 
 class LayerList:
@@ -102,12 +103,6 @@ class LayerList:
 
     def __getitem__(self, i):
         return self._layers[i]
-
-    def __setitem__(self, i, layer):
-        self._layers[i] = layer
-
-    def append(self, layer):
-        self._layers.append(layer)
 
     def named_layers(self, prefix=""):
         for i, layer in enumerate(self._layers):
@@ -174,3 +169,15 @@ class LayerNorm2d(Layer):
 
     def forward(self, x):
         return T.layer_norm(x, self.gamma.value, self.beta.value, eps=self.eps)
+
+
+class ConvBnSilu(Layer):
+    """Convolution + batch norm + SiLU; padding is always k//2."""
+
+    def __init__(self, c_in, c_out, k=1, stride=1):
+        super().__init__()
+        self.conv = Conv2d(c_in, c_out, k, stride=stride, padding=k // 2, bias=False)
+        self.bn = BatchNorm2d(c_out)
+
+    def forward(self, x):
+        return T.silu(self.bn(self.conv(x)))

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from . import tensor as T
-from .blocks import C3, C3dr, Cbam, ConvBnSilu, Focus, Spp
+from .blocks import C3, C3dr, Cbam, Focus, Spp
 from .interactions import ResGnConv
-from .layers import Conv2d, Layer, LayerList
+from .layers import Conv2d, ConvBnSilu, Layer, LayerList
 from .tensor import ShapeError
 
 NECK_KINDS = ("pan", "cbam_pan", "asi_pan")
@@ -211,12 +211,7 @@ class ModelConfig:
 
     # -- serialization ----------------------------------------------------
 
-    _FILE_KEYS = {
-        "variant", "width_mult", "depth_mult", "base_channels", "base_depths",
-        "order_n", "lambda", "neck", "strides", "anchors", "expansion",
-        "sam_kernels", "num_keypoints", "channel_round", "cbam_reduction",
-        "residual_interactions", "backbone_block", "note",
-    }
+    _FILE_KEYS = {name.rstrip("_") for name in _FIELD_TYPES}
 
     @classmethod
     def from_dict(cls, data):
@@ -243,21 +238,6 @@ class ModelConfig:
         data = asdict(self)
         data["lambda"] = data.pop("lambda_")
         return data
-
-
-@dataclass
-class FeaturePyramid:
-    """Multi-resolution feature stack; levels are ordered fine to coarse."""
-
-    levels: list
-    strides: tuple
-
-    def __post_init__(self):
-        if len(self.levels) != len(self.strides):
-            raise ShapeError("one stride per pyramid level required")
-        for a, b in zip(self.levels, self.levels[1:]):
-            if (a.shape[2] != 2 * b.shape[2]) or (a.shape[3] != 2 * b.shape[3]):
-                raise ShapeError("pyramid levels must halve spatially")
 
 
 class _Stage(Layer):
@@ -309,9 +289,8 @@ class Backbone(Layer):
             y = stage(y)
             feats.append(y)
         p6 = self.c3(self.spp(self.down5(feats[-1])))
-        # P2 stays internal; the pyramid starts at stride 8
-        return FeaturePyramid(levels=[feats[1], feats[2], feats[3], p6],
-                              strides=(8, 16, 32, 64))
+        # P2 stays internal; the levels run fine to coarse from stride 8
+        return [feats[1], feats[2], feats[3], p6]
 
 
 class _TopDownTransform(Layer):
@@ -410,8 +389,7 @@ class Model(Layer):
                     f"bytes, more than the {MAX_PARAM_BYTES} a weight archive entry holds")
 
     def forward(self, x):
-        fp = self.backbone(x)
-        refined = self.neck(fp.levels)
+        refined = self.neck(self.backbone(x))
         return [head(level) for head, level in zip(self.heads, refined)]
 
 

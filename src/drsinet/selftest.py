@@ -19,8 +19,9 @@ import numpy as np
 
 from . import decode as D
 from . import tensor as T
-from .blocks import C3dr, Cbam, ConvBnSilu, DrsiBlock, InvertedBottleneck
+from .blocks import C3dr, Cbam, DrsiBlock, InvertedBottleneck
 from .interactions import ResGnConv, build_scheme
+from .layers import ConvBnSilu
 from .network import ModelConfig, Neck, build_model
 from .profiler import largest_param_layers, load_weights, profile, save_weights
 from .tensor import grad_check, tensor

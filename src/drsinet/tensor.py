@@ -22,7 +22,6 @@ import itertools
 import math
 import os
 import threading
-import weakref
 from contextvars import ContextVar
 
 import numpy as np
@@ -61,7 +60,7 @@ class Tensor:
     freshly computed arrays nothing else references.
     """
 
-    __slots__ = ("data", "_param")
+    __slots__ = ("data",)
 
     def __init__(self, data, copy=True):
         arr = np.asarray(data)
@@ -79,7 +78,6 @@ class Tensor:
                 arr = arr.copy()
             arr.flags.writeable = False
         self.data = arr
-        self._param = None  # weak back-reference set by Parameter
 
     @property
     def shape(self):
@@ -96,9 +94,6 @@ class Tensor:
     def numpy(self):
         """Read-only view of the underlying array."""
         return self.data
-
-    def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), copy=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
@@ -127,8 +122,8 @@ class Parameter:
     """Named trainable value (or buffer) of a layer.
 
     Values of rank 1-3 are stored as 4-D tensors with unit dimensions; the
-    logical shape is kept for serialization.  ``grad`` is populated by
-    :meth:`Tape.backward` and is ``None`` until then.
+    logical shape is kept for serialization.  A gradient is read from the
+    tape that recorded the forward: ``tape.grad_for(p.value)``.
     """
 
     def __init__(self, logical_shape, init=("const", 0.0), trainable=True):
@@ -139,7 +134,6 @@ class Parameter:
         self.trainable = trainable
         self.name = None          # assigned when the owning tree is finalized
         self._value = None
-        self.grad = None
 
     @property
     def storage_shape(self):
@@ -164,7 +158,7 @@ class Parameter:
         if arr.shape != self.storage_shape:
             raise ShapeError(
                 f"parameter {self.name!r} expects {self.logical_shape}, got {arr.shape}")
-        self._assign(Tensor(arr))
+        self._value = Tensor(arr)
 
     def materialize(self, seed, name):
         self.name = name
@@ -179,12 +173,7 @@ class Parameter:
             arr = _seeded_uniform(seed, name, self.storage_shape, float(np.sqrt(3.0 / fan_in)))
         else:
             raise ValueError(f"unknown init kind {kind!r}")
-        self._assign(Tensor(arr, copy=False))
-
-    def _assign(self, t):
-        # weak, so a dropped layer tree is freed by reference counting alone
-        t._param = weakref.ref(self)
-        self._value = t
+        self._value = Tensor(arr, copy=False)
 
     def count(self):
         n = 1
@@ -286,8 +275,8 @@ class Tape(_Active):
     """Ordered record of primitive operations for one reverse replay.
 
     Use as a context manager around the forward; then call :meth:`backward`
-    once.  Gradients of parameters are written to ``Parameter.grad``;
-    gradients of plain input tensors are read back with :meth:`grad_for`.
+    once.  The gradient of every leaf, an input or a parameter's value, is
+    read back with :meth:`grad_for`.
     Parents that are not tensors (a ``None`` bias, a plain-array gamma) get
     no gradient.
     """
@@ -335,10 +324,6 @@ class Tape(_Active):
             if g is None:
                 g = np.zeros(leaf.shape, dtype=leaf.dtype)
             self._grads[key] = g
-            param = leaf._param() if leaf._param is not None else None
-            if param is not None:
-                param.grad = Tensor(np.asarray(g, dtype=np.float32)
-                                    if leaf.dtype == np.float32 else g)
 
     def grad_for(self, x):
         """Gradient of the traced reduction w.r.t. leaf tensor ``x``."""
@@ -928,20 +913,19 @@ def activation(x, kind):
     """Element-wise nonlinearity: silu, gelu (exact erf form), sigmoid or relu.
 
     Sigmoid and silu run on ``exp``; gelu is ``x * Phi(x)`` (see ``_phi``).
-    With no tape open, silu and gelu write their result over their one
-    intermediate, which no backward will read; the values are bitwise those
-    of the taped path.
+    Silu and gelu write their result over their one intermediate; a backward
+    recomputes the sigmoid or Phi from the input.
     """
     v = x.data
-    taped = _ACTIVE_TAPE.get() is not None
     if kind == "silu":
-        s = _sigmoid(v, silu=not taped)
-        out = v * s if taped else s
-        deriv = lambda: s * (1.0 + v * (1.0 - s))
+        out = _sigmoid(v, silu=True)
+
+        def deriv():
+            s = _sigmoid(v)
+            return s * (1.0 + v * (1.0 - s))
     elif kind == "gelu":
-        cdf = _phi(v, gelu=not taped)
-        out = v * cdf if taped else cdf
-        deriv = lambda: cdf + v * np.exp(-0.5 * v * v) * _INV_SQRT2PI
+        out = _phi(v, gelu=True)
+        deriv = lambda: _phi(v) + v * np.exp(-0.5 * v * v) * _INV_SQRT2PI
     elif kind == "sigmoid":
         out = _sigmoid(v)
         deriv = lambda: out * (1.0 - out)

@@ -243,15 +243,24 @@ _GOOD_GT = json.dumps({"annotations": [{"image_id": 1, "keypoints": _GT_KPS,
 _GOOD_PRED = json.dumps([{"image_id": 1, "score": 0.5, "keypoints": _PRED_KPS}])
 
 
-def _eval_case(pred_text, gt_text=_GOOD_GT):
-    """An eval call; ``pred_text`` None leaves the results file unwritten."""
+def _eval_case(pred_text, gt_text=_GOOD_GT, sigmas_text=None):
+    """An eval call; ``pred_text`` None leaves the results file unwritten,
+    and ``sigmas_text`` is passed as the ``--sigmas`` file."""
     def make(tmp_path, cfg_path, weights):
         (tmp_path / "gt.json").write_text(gt_text)
         if pred_text is not None:
             (tmp_path / "pred.json").write_text(pred_text)
+        flags = []
+        if sigmas_text is not None:
+            (tmp_path / "sig.json").write_text(sigmas_text)
+            flags = ["--sigmas", str(tmp_path / "sig.json")]
         return ["eval", "--gt", str(tmp_path / "gt.json"),
-                "--pred", str(tmp_path / "pred.json")]
+                "--pred", str(tmp_path / "pred.json"), *flags]
     return make
+
+
+def _sigmas_case(sigmas_text):
+    return _eval_case(_GOOD_PRED, sigmas_text=sigmas_text)
 
 
 _NAN_IMAGE = np.full((1, 3, 64, 64), np.nan)
@@ -301,6 +310,22 @@ MALFORMED = {
         _eval_case(_GOOD_PRED, '{"annotations": [{"image_id": 1, "area": 4.0}]}'), 1,
         "missing 'keypoints'"),
     "missing results file": (_eval_case(None), 2, "i/o error: "),
+    # JSON's NaN reads as nan and 1e400 past the float range as inf
+    "ground truth keypoint NaN": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace("50.0", "NaN", 1)), 1,
+        "annotation 0: keypoints must be finite"),
+    "ground truth keypoint 1e400": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace("50.0", "1e400", 1)), 1,
+        "annotation 0: keypoints must be finite"),
+    "ground truth area 1e400": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace("400.0", "1e400")), 1,
+        "annotation 0: area must be > 0 and finite, got inf"),
+    "sigmas null": (_sigmas_case("null"), 1, "falloff constants must be finite and > 0"),
+    "sigmas NaN": (_sigmas_case("[NaN]"), 1, "falloff constants must be finite and > 0"),
+    "sigmas 1e999": (_sigmas_case("1e999"), 1, "falloff constants must be finite and > 0"),
+    "sigmas one of 17": (_sigmas_case("[0.05]"), 1, "1 falloff constants for 17 keypoints"),
+    "sigmas bare number": (_sigmas_case("0.05"), 1, "1 falloff constants for 17 keypoints"),
+    "sigmas an object": (_sigmas_case('{"a": 1}'), 1, "falloff constants must be numbers"),
     "config cbam_reduction 0": (
         _config_case(cbam_reduction=0), 1, "cbam_reduction must be finite and > 0"),
     "config depth_mult Infinity": (

@@ -1027,6 +1027,13 @@ class TestCocoFiles:
         {"annotations": [{"image_id": float("inf"), "keypoints": [1.0, 2.0, 2.0]}]},
         {"images": []},
         [5],
+        # non-finite keypoints or area: AP 0.0, AP 0.9 and APL 1.0 if read
+        {"annotations": [{"image_id": 1, "keypoints": [float("nan"), 2.0, 2.0],
+                          "area": 10.0}]},
+        {"annotations": [{"image_id": 1, "keypoints": [float("inf"), 2.0, 2.0],
+                          "area": 10.0}]},
+        {"annotations": [{"image_id": 1, "keypoints": [1.0, 2.0, 2.0],
+                          "area": float("inf")}]},
     ])
     def test_malformed_ground_truth_rejected(self, payload, tmp_path):
         path = tmp_path / "gt.json"

@@ -15,6 +15,25 @@ def copy_weights(src, dst):
         p2.set(p1.value.numpy())
 
 
+def unrolled(layer, x):
+    """The layer's recursion written out from its own sublayers: its output
+    and the per-order intermediates p_k, s_k and f_k(q_k)."""
+    sch = layer.scheme
+    p, q = T.split_channels(layer.phi_in(x), [sch.c_0, sch.c_q])
+    fq = T.split_channels(layer.dw(q), list(sch.c_k))
+    trace = {"p": [p], "s": [], "fq": fq}
+    for k in range(sch.n):
+        s = p if k == 0 else layer.g_k[k - 1](p)
+        p = T.mul(fq[k], s)
+        if layer.residual_enabled:
+            p = T.scale(T.add(T.add(s, fq[k]), p), 1.0 / layer.lam)
+        trace["s"].append(s)
+        trace["p"].append(p)
+    y = layer.phi_out(p)
+    assert y.numpy().tobytes() == layer(x).numpy().tobytes()
+    return y, trace
+
+
 def zero_biases(layer):
     layer.phi_in.bias.set(np.zeros(2 * layer.scheme.c, np.float32))
     layer.dw.bias.set(np.zeros(layer.scheme.c_q, np.float32))
@@ -125,7 +144,7 @@ class TestGnConv:
         c = 8
         layer = identity_layer(c, n=2)
         x = tensor(np.full((1, c, 5, 5), 2.0, np.float32))
-        y, trace = layer.forward_detailed(x)
+        y, trace = unrolled(layer, x)
         np.testing.assert_array_equal(trace["p"][1].numpy(),
                                       np.full((1, 4, 5, 5), 4.0, np.float32))
         bn4 = 4.0 / np.sqrt(1.0 + 1e-5)
@@ -173,7 +192,7 @@ class TestResGnConv:
     def test_residual_identity_per_order(self, n, rng):
         layer = ResGnConv(8, n=n, lam=3.0, residual_enabled=True).finalize(19)
         x = tensor(rng.normal(size=(1, 8, 5, 5)).astype(np.float32))
-        _, trace = layer.forward_detailed(x)
+        _, trace = unrolled(layer, x)
         for k in range(n):
             s = trace["s"][k].numpy()
             fq = trace["fq"][k].numpy()

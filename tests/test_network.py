@@ -129,10 +129,10 @@ class TestLifetime:
 class TestBackbone:
     def test_pyramid_shapes_s_640(self, rng):
         model = build_model(ModelConfig(variant="s"), seed=0)
-        fp = model.backbone(rand_image(rng, 640))
+        levels = model.backbone(rand_image(rng, 640))
         want = [(1, 128, 80, 80), (1, 256, 40, 40), (1, 384, 20, 20), (1, 512, 10, 10)]
-        assert [lv.shape for lv in fp.levels] == want
-        assert fp.levels[3].shape[1] == 512
+        assert [lv.shape for lv in levels] == want
+        assert levels[3].shape[1] == 512
 
     def test_pyramid_shapes_l_960_analytic(self):
         marks = dict(trace(ModelConfig(variant="l"), 960))
@@ -168,9 +168,9 @@ class TestNeck:
     @pytest.mark.parametrize("kind", ["pan", "cbam_pan", "asi_pan"])
     def test_strides_preserved(self, kind, rng):
         model = build_model(mini_config(neck=kind), seed=5)
-        fp = model.backbone(rand_image(rng, 128))
-        out = model.neck(fp.levels)
-        assert [lv.shape[2:] for lv in out] == [lv.shape[2:] for lv in fp.levels]
+        levels = model.backbone(rand_image(rng, 128))
+        out = model.neck(levels)
+        assert [lv.shape[2:] for lv in out] == [lv.shape[2:] for lv in levels]
         assert [128 // lv.shape[2] for lv in out] == [8, 16, 32, 64]
 
     def test_all_necks_same_shapes(self, rng):
@@ -178,7 +178,7 @@ class TestNeck:
         shapes = {}
         for kind in ("pan", "cbam_pan", "asi_pan"):
             model = build_model(mini_config(neck=kind), seed=6)
-            out = model.neck(model.backbone(x).levels)
+            out = model.neck(model.backbone(x))
             shapes[kind] = [lv.shape for lv in out]
         assert shapes["pan"] == shapes["cbam_pan"] == shapes["asi_pan"]
 
@@ -198,8 +198,8 @@ class TestNeck:
         for tr in pan.neck.bu_transforms:
             tr.attn = _Scaler(0.25)
         x = rand_image(rng, 128)
-        got = [lv.numpy().tobytes() for lv in cbam.neck(cbam.backbone(x).levels)]
-        want = [lv.numpy().tobytes() for lv in pan.neck(pan.backbone(x).levels)]
+        got = [lv.numpy().tobytes() for lv in cbam.neck(cbam.backbone(x))]
+        want = [lv.numpy().tobytes() for lv in pan.neck(pan.backbone(x))]
         assert got == want
 
     @pytest.mark.parametrize("kind", ["pan", "cbam_pan", "asi_pan"])
@@ -276,7 +276,7 @@ class TestTableWidths:
     def test_backbone_channel_mapping_per_variant(self, variant, rng):
         cfg = ModelConfig(variant=variant)
         model = build_model(cfg, seed=0)
-        fp = model.backbone(rand_image(rng, 64))
-        assert [lv.shape[1] for lv in fp.levels] == cfg.stage_channels()[1:]
-        for lv, stride in zip(fp.levels, fp.strides):
+        levels = model.backbone(rand_image(rng, 64))
+        assert [lv.shape[1] for lv in levels] == cfg.stage_channels()[1:]
+        for lv, stride in zip(levels, cfg.strides, strict=True):
             assert lv.shape[2] == 64 // stride

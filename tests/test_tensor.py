@@ -534,7 +534,11 @@ class TestBackward:
         with Tape() as tape:
             y = T.conv2d(x, p.value)
         tape.backward(tensor(np.ones(y.shape, np.float32)))
-        assert p.grad is not None and p.grad.shape == (2, 2, 1, 1)
+        g = tape.grad_for(p.value).numpy()
+        assert g.shape == (2, 2, 1, 1)
+        # d sum(W x) / dW[o, i] = sum of input channel i over the image
+        want = np.broadcast_to(x.numpy().sum(axis=(0, 2, 3))[None, :], (2, 2))
+        np.testing.assert_allclose(g[:, :, 0, 0], want, rtol=1e-6)
 
 
 
@@ -855,8 +859,8 @@ class TestWorkers:
             with Tape() as tape:
                 heads = model(x)
             tape.backward(tensor(np.ones(heads[0].shape, np.float32)), output=heads[0])
-            grads = [p.grad.numpy().tobytes() for _, p in model.named_parameters()
-                     if p.grad is not None]
+            grads = [tape.grad_for(p.value).numpy().tobytes()
+                     for _, p in model.named_parameters()]
             assert len(grads) > 100
             return [h.numpy().tobytes() for h in heads] + grads + [tape.grad_for(x).numpy().tobytes()]
 
