@@ -20,19 +20,22 @@ class Focus(Layer):
 
 
 class Spp(Layer):
-    """Spatial pyramid pooling: parallel max pools at k in {5, 9, 13}."""
+    """Spatial pyramid pooling: max pools at k in {5, 9, 13}, as three
+    chained 5x5 pools.  With -inf padding and stride 1 a 5x5 pool of a 5x5
+    pool is the 9x9 pool, and a third gives 13x13; only the sign of a zero
+    max may differ (see ``max_pool``)."""
 
-    def __init__(self, c_in, c_out, kernels=(5, 9, 13)):
+    def __init__(self, c_in, c_out):
         super().__init__()
         c_hidden = c_in // 2
-        self.kernels = tuple(kernels)
         self.cv1 = ConvBnSilu(c_in, c_hidden, 1)
-        self.cv2 = ConvBnSilu(c_hidden * (len(self.kernels) + 1), c_out, 1)
+        self.cv2 = ConvBnSilu(4 * c_hidden, c_out, 1)
 
     def forward(self, x):
-        x = self.cv1(x)
-        pools = [T.max_pool(x, k, stride=1, padding=k // 2) for k in self.kernels]
-        return self.cv2(T.concat_channels([x] + pools))
+        pools = [self.cv1(x)]
+        for _ in range(3):
+            pools.append(T.max_pool(pools[-1], 5, stride=1, padding=2))
+        return self.cv2(T.concat_channels(pools))
 
 
 class Bottleneck(Layer):

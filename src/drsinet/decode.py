@@ -420,6 +420,13 @@ def _malformed(what, exc):
     return FormatError(f"{what}: {reason}")
 
 
+def _image_id(value):
+    """An image id as read from JSON: an integer, and not ``true``/``false``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"image_id must be an integer, got {value!r}")
+    return value
+
+
 def read_ground_truth(path):
     """Read a COCO keypoint annotation file into per-image instances."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -434,7 +441,7 @@ def read_ground_truth(path):
             kps = np.asarray(ann["keypoints"], dtype=np.float64).reshape(-1, 3)
             bbox = tuple(float(v) for v in ann.get("bbox", (0, 0, 0, 0)))
             area = float(ann.get("area", max(bbox[2] * bbox[3], 1.0)))
-            image_id = int(ann["image_id"])
+            image_id = _image_id(ann["image_id"])
             if not np.isfinite(kps).all():
                 raise ValueError("keypoints must be finite")
             if not (math.isfinite(area) and area > 0):
@@ -529,7 +536,7 @@ def read_results(path):
                 box = (x + w / 2.0, y + h / 2.0, w, h)
             else:
                 box = None
-            image_id = int(item["image_id"])
+            image_id = _image_id(item["image_id"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             first_bad = (n, exc)    # later entries cannot come first
             break

@@ -301,7 +301,6 @@ class Tape(_Active):
             raise ShapeError(
                 f"output_grad shape {output_grad.shape} != traced output {root.shape}")
         grads = {id(root): np.asarray(output_grad.data, dtype=root.dtype)}
-        produced = {id(out) for out, _, _ in self._nodes}
         for out, parents, fn in reversed(self._nodes):
             g = grads.pop(id(out), None)
             if g is None:
@@ -312,18 +311,8 @@ class Tape(_Active):
                 key = id(parent)
                 prev = grads.get(key)
                 grads[key] = pg if prev is None else prev + pg
-        # whatever is left belongs to leaves (inputs and parameters)
-        leaves = {}
-        for _, parents, _ in self._nodes:
-            for parent in parents:
-                if isinstance(parent, Tensor) and id(parent) not in produced:
-                    leaves[id(parent)] = parent
-        self._grads = {}
-        for key, leaf in leaves.items():
-            g = grads.get(key)
-            if g is None:
-                g = np.zeros(leaf.shape, dtype=leaf.dtype)
-            self._grads[key] = g
+        # a node pops its output's entry, so what is left belongs to leaves
+        self._grads = grads
 
     def grad_for(self, x):
         """Gradient of the traced reduction w.r.t. leaf tensor ``x``."""
@@ -590,17 +579,8 @@ def _windows(xp, k, stride):
     return win[:, :, ::stride, ::stride]
 
 
-def _scatter_windows(dwin, xp_shape, k, stride, padding, out_shape):
-    """Adjoint of window extraction: accumulate (n,c,Ho,Wo,k,k) into NCHW."""
-    n, c, h, w = out_shape
-    dxp = np.zeros(xp_shape, dtype=dwin.dtype)
-    ho, wo = dwin.shape[2], dwin.shape[3]
-    for u in range(k):
-        for v in range(k):
-            dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += dwin[:, :, :, :, u, v]
-    if padding:
-        dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-    return dxp
+def _unpad(xp, padding):
+    return xp[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
 
 
 def _channel_grad(g, v):
@@ -694,70 +674,64 @@ def _gemm_1x1(w, x):
     return out
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0):
-    """Standard 2-D cross-correlation, weight (c_out, c_in, k, k).
+def _conv(name, x, weight, bias, stride, padding, groups):
+    """2-D cross-correlation of ``x`` in ``groups`` channel groups, weight
+    (groups*co, ci, k, k).
 
-    A 1x1 stride-1 unpadded conv is one GEMM over the flattened image; any
-    other is ``_grouped_conv`` with one group: one GEMM of the
-    (c_out, c_in*k*k) weight per block of output rows.
+    One group, 1x1, stride 1, unpadded is one GEMM over the flattened
+    image; any other is ``_grouped_conv``.  The backward is the forward's
+    tap GEMMs transposed: per tap (u, v), ``dw[..., u, v]`` is one batched
+    GEMM of the output gradient with the tap's strided input rows, and the
+    tap's weights map the gradient back into the padded ``dx``.
     """
-    co, ci, k, k2 = weight.shape
+    c_out, ci, k, k2 = weight.shape
     if k != k2:
         raise ShapeError("only square kernels are supported")
     _check_conv_args(k, stride, padding)
     n, c, h, w = x.shape
-    if c != ci:
-        raise ShapeError(f"conv2d expects {ci} input channels, got {c}")
+    if c != ci * groups:
+        raise ShapeError(f"{name} expects {ci * groups} input channels, got {c}")
     ho, wo = _out_hw(h, w, k, stride, padding)
     xp = _pad_nchw(x.data, padding)
-    if k == 1 and stride == 1 and padding == 0:
-        out = _gemm_1x1(weight.data.reshape(co, ci), xp.reshape(n, ci, h * w)).reshape(n, co, h, w)
+    co = c_out // max(groups, 1)         # a depthwise conv of 0 channels has 0 groups
+    wg = weight.data.reshape(groups, co, ci * k * k)
+    if groups == 1 and k == 1 and stride == 1 and padding == 0:
+        out = _gemm_1x1(wg[0], xp.reshape(n, ci, h * w)).reshape(n, c_out, h, w)
     else:
-        out = _grouped_conv(xp, weight.data.reshape(1, co, ci * k * k), k, stride, ho, wo)
+        out = _grouped_conv(xp, wg, k, stride, ho, wo)
     if bias is not None:
-        out += bias.data.reshape(1, co, 1, 1)
+        out += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
-        cols = np.ascontiguousarray(_windows(xp, k, stride).transpose(0, 2, 3, 1, 4, 5))
-        cols = cols.reshape(n, ho * wo, ci * k * k)
-        w2 = weight.data.reshape(co, ci * k * k)
-        g2 = g.reshape(n, co, ho * wo).transpose(0, 2, 1)
-        dw = np.einsum("npo,npq->oq", g2, cols).reshape(weight.shape)
-        dcols = (g2 @ w2).reshape(n, ho, wo, ci, k, k).transpose(0, 3, 1, 2, 4, 5)
-        dx = _scatter_windows(dcols, xp.shape, k, stride, padding, x.shape)
-        return dx, dw, _channel_grad(g, bias)
+        gg = g.reshape(n, groups, co, ho * wo)
+        # per tap, the (ci, co) weight of each group, contiguous for the GEMM
+        wt = wg.reshape(groups, co, ci, k * k).transpose(3, 0, 2, 1).copy()
+        dw = np.empty((k * k, groups, co, ci), dtype=np.result_type(g, xp))
+        dxp = np.zeros(xp.shape, dtype=np.result_type(g, wt))
+        for t in range(k * k):
+            u, v = divmod(t, k)
+            tap = (slice(None), slice(None), slice(u, u + stride * ho, stride),
+                   slice(v, v + stride * wo, stride))
+            rows = np.ascontiguousarray(xp[tap]).reshape(n, groups, ci, ho * wo)
+            dw[t] = np.matmul(gg, rows.transpose(0, 1, 3, 2)).sum(axis=0)
+            dxp[tap] += np.matmul(wt[t], gg).reshape(n, c, ho, wo)
+        dw = dw.transpose(1, 2, 3, 0).reshape(weight.shape)
+        return _unpad(dxp, padding), dw, _channel_grad(g, bias)
 
     return _emit(out, (x, weight, bias), backward, macs=ci * k * k)
 
 
+def conv2d(x, weight, bias=None, stride=1, padding=0):
+    """Standard 2-D cross-correlation, weight (c_out, c_in, k, k)."""
+    return _conv("conv2d", x, weight, bias, stride, padding, 1)
+
+
 def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
-    """Per-channel 2-D cross-correlation, weight (c, 1, k, k).
-
-    ``_grouped_conv`` with one group per channel: one batched GEMM of each
-    channel's (1, k*k) weight row with its window columns per block.
-    """
-    c_w, one, k, k2 = weight.shape
-    if one != 1 or k != k2:
+    """Per-channel 2-D cross-correlation, weight (c, 1, k, k): one group per
+    channel."""
+    if weight.shape[1] != 1 or weight.shape[2] != weight.shape[3]:
         raise ShapeError("depthwise weight must have shape (c, 1, k, k)")
-    _check_conv_args(k, stride, padding)
-    n, c, h, w = x.shape
-    if c != c_w:
-        raise ShapeError(f"depthwise_conv2d expects {c_w} channels, got {c}")
-    ho, wo = _out_hw(h, w, k, stride, padding)
-    xp = _pad_nchw(x.data, padding)
-    out = _grouped_conv(xp, weight.data.reshape(c, 1, k * k), k, stride, ho, wo)
-    if bias is not None:
-        out += bias.data.reshape(1, c, 1, 1)
-
-    def backward(g):
-        win = _windows(xp, k, stride)
-        w3 = weight.data.reshape(c, k, k)
-        dw = np.einsum("nchwuv,nchw->cuv", win, g).reshape(weight.shape)
-        dwin = np.einsum("nchw,cuv->nchwuv", g, w3)
-        dx = _scatter_windows(dwin, xp.shape, k, stride, padding, x.shape)
-        return dx, dw, _channel_grad(g, bias)
-
-    return _emit(out, (x, weight, bias), backward, macs=k * k)
+    return _conv("depthwise_conv2d", x, weight, bias, stride, padding, weight.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1082,9 +1056,7 @@ def max_pool(x, k, stride=1, padding=0):
         cc = np.arange(c)[None, :, None, None]
         np.add.at(dxp, (np.broadcast_to(nn, rows.shape),
                         np.broadcast_to(cc, rows.shape), rows, cols_), g)
-        if padding:
-            dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-        return (dxp,)
+        return (_unpad(dxp, padding),)
 
     return _emit(out, (x,), backward)
 

@@ -45,6 +45,25 @@ class TestSpp:
         want = spp.cv2(T.concat_channels([inner] * 4))
         np.testing.assert_array_equal(spp(x).numpy(), want.numpy())
 
+    @pytest.mark.parametrize("shape", [(1, 3, 20, 20), (2, 4, 7, 9), (1, 2, 3, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chained_5x5_pools_equal_direct_pools(self, shape, dtype, rng):
+        x = tensor(rng.normal(size=shape).astype(dtype))
+        chain = [x]
+        for _ in range(3):
+            chain.append(T.max_pool(chain[-1], 5, stride=1, padding=2))
+        for k, pooled in zip((5, 9, 13), chain[1:]):
+            direct = T.max_pool(x, k, stride=1, padding=k // 2)
+            assert pooled.numpy().tobytes() == direct.numpy().tobytes(), k
+
+    def test_forward_equals_direct_pools(self, rng):
+        spp = Spp(8, 16).finalize(5)
+        x = rand_t(rng, (1, 8, 11, 6))
+        inner = spp.cv1(x)
+        pools = [T.max_pool(inner, k, stride=1, padding=k // 2) for k in (5, 9, 13)]
+        want = spp.cv2(T.concat_channels([inner] + pools))
+        assert spp(x).numpy().tobytes() == want.numpy().tobytes()
+
     def test_channel_arithmetic(self, rng):
         spp = Spp(512, 384).finalize(3)
         assert spp.cv1.conv.c_out == 256

@@ -310,6 +310,25 @@ MALFORMED = {
         _eval_case(_GOOD_PRED, '{"annotations": [{"image_id": 1, "area": 4.0}]}'), 1,
         "missing 'keypoints'"),
     "missing results file": (_eval_case(None), 2, "i/o error: "),
+    # an image id is a JSON integer: 1.7, true or "1" is not image 1
+    "result image_id 1.7": (
+        _eval_case(_GOOD_PRED.replace('"image_id": 1', '"image_id": 1.7')), 1,
+        "results entry 0: image_id must be an integer"),
+    "ground truth image_id 1.7": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace('"image_id": 1', '"image_id": 1.7')), 1,
+        "annotation 0: image_id must be an integer"),
+    "result image_id true": (
+        _eval_case(_GOOD_PRED.replace('"image_id": 1', '"image_id": true')), 1,
+        "results entry 0: image_id must be an integer"),
+    "ground truth image_id true": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace('"image_id": 1', '"image_id": true')), 1,
+        "annotation 0: image_id must be an integer"),
+    "result image_id string": (
+        _eval_case(_GOOD_PRED.replace('"image_id": 1', '"image_id": "1"')), 1,
+        "results entry 0: image_id must be an integer"),
+    "ground truth image_id string": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace('"image_id": 1', '"image_id": "1"')), 1,
+        "annotation 0: image_id must be an integer"),
     # JSON's NaN reads as nan and 1e400 past the float range as inf
     "ground truth keypoint NaN": (
         _eval_case(_GOOD_PRED, _GOOD_GT.replace("50.0", "NaN", 1)), 1,

@@ -184,6 +184,8 @@ def old_read_results(path):
                 w = max(float(kps[:, 0].max() - x), 1.0)
                 h = max(float(kps[:, 1].max() - y), 1.0)
             image_id = int(item["image_id"])
+            if isinstance(item["image_id"], bool):    # image ids are JSON integers
+                raise ValueError("image_id must be an integer")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"results entry {n}: {exc}") from None
         boxes, scores, keypoints = rows.setdefault(image_id, ([], [], []))

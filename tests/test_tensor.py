@@ -147,6 +147,9 @@ class TestDepthwiseConv2d:
         assert np.all(y.numpy() == 0.0)
 
     def test_equals_block_diagonal_conv(self, rng):
+        """Forward and taped gradients: dx within 1e-6 of the full conv's,
+        and the depthwise dw the diagonal of the full conv's dw to float32
+        rounding."""
         for _ in range(10):
             c = int(rng.integers(1, 5))
             k = int(rng.integers(1, 4))
@@ -155,9 +158,20 @@ class TestDepthwiseConv2d:
             full = np.zeros((c, c, k, k), dtype=np.float32)
             for ch in range(c):
                 full[ch, ch] = dw[ch, 0]
-            a = T.depthwise_conv2d(x, tensor(dw), stride=1, padding=k // 2).numpy()
-            b = T.conv2d(x, tensor(full), stride=1, padding=k // 2).numpy()
-            assert np.max(np.abs(a - b)) <= 1e-6
+            side = 6 + 2 * (k // 2) - k + 1
+            g = tensor(rng.normal(size=(1, c, side, side)).astype(np.float32))
+            outs, grads = [], []
+            for op, weight in ((T.depthwise_conv2d, tensor(dw)), (T.conv2d, tensor(full))):
+                with Tape() as tape:
+                    outs.append(op(x, weight, stride=1, padding=k // 2).numpy())
+                tape.backward(g)
+                grads.append((tape.grad_for(x).numpy(), tape.grad_for(weight).numpy()))
+            (dx_d, dw_d), (dx_f, dw_f) = grads
+            assert np.max(np.abs(outs[0] - outs[1])) <= 1e-6
+            assert np.max(np.abs(dx_d - dx_f)) <= 1e-6
+            # the same sums, as a dot product per channel against a GEMM
+            np.testing.assert_allclose(dw_d[:, 0], dw_f[np.arange(c), np.arange(c)],
+                                       rtol=1e-5, atol=1e-6)
 
 
 def naive_depthwise(x, w, bias=None, stride=1, padding=0):
@@ -591,6 +605,10 @@ def _primitive_cases(rng):
     w_c = tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
     b_c = tensor(rng.normal(size=3).astype(np.float32))
     w_d = tensor(rng.normal(size=(2, 1, 3, 3)).astype(np.float32))
+    # later rows draw from their own generator, so earlier rows keep their data
+    more = np.random.default_rng(8)
+    w_1 = tensor(more.normal(size=(3, 2, 1, 1)).astype(np.float32))
+    w_7 = tensor(more.normal(size=(2, 1, 7, 7)).astype(np.float32))
     ga = np.array([1.3, 0.7], np.float32)
     be = np.array([0.2, -0.4], np.float32)
     rm = np.array([0.1, -0.2], np.float32)
@@ -599,7 +617,10 @@ def _primitive_cases(rng):
     return {
         "conv2d": lambda x: T.conv2d(x, w_c, b_c, stride=1, padding=1),
         "conv2d_stride2": lambda x: T.conv2d(x, w_c, b_c, stride=2, padding=1),
+        "conv1x1": lambda x: T.conv2d(x, w_1, b_c),
         "depthwise": lambda x: T.depthwise_conv2d(x, w_d, None, 1, 1),
+        "depthwise_stride2": lambda x: T.depthwise_conv2d(x, w_d, None, 2, 1),
+        "depthwise_7x7": lambda x: T.depthwise_conv2d(x, w_7, None, 1, 3),
         "batch_norm": lambda x: T.batch_norm(x, ga, be, rm, rv, eps=1e-5),
         "layer_norm": lambda x: T.layer_norm(x, ga, be, eps=1e-5),
         "silu": T.silu,
@@ -614,6 +635,7 @@ def _primitive_cases(rng):
             T.split_channels(x, [1, 1])[::-1]),
         "upsample": T.upsample_nearest2x,
         "max_pool": lambda x: T.max_pool(x, 3, stride=1, padding=1),
+        "max_pool_5x5": lambda x: T.max_pool(x, 5, stride=1, padding=2),
         "space_to_depth": T.space_to_depth_2x2,
         "global_avg": T.global_avg_pool,
         "global_max": T.global_max_pool,
