@@ -9,11 +9,11 @@ from .tensor import DomainError, ShapeError
 
 
 class Focus(Layer):
-    """Stem: 2x2 space-to-depth (c -> 4c, h/2, w/2) then ConvBnSilu."""
+    """Stem: 2x2 space-to-depth (c -> 4c, h/2, w/2) then a 3x3 ConvBnSilu."""
 
-    def __init__(self, c_in, c_out, k=3):
+    def __init__(self, c_in, c_out):
         super().__init__()
-        self.conv = ConvBnSilu(4 * c_in, c_out, k)
+        self.conv = ConvBnSilu(4 * c_in, c_out, 3)
 
     def forward(self, x):
         return self.conv(T.space_to_depth_2x2(x))
@@ -41,15 +41,13 @@ class Spp(Layer):
 class Bottleneck(Layer):
     """Residual bottleneck: 1x1 then 3x3 ConvBnSilu with a skip."""
 
-    def __init__(self, c, shortcut=True):
+    def __init__(self, c):
         super().__init__()
         self.cv1 = ConvBnSilu(c, c, 1)
         self.cv2 = ConvBnSilu(c, c, 3)
-        self.shortcut = shortcut
 
     def forward(self, x):
-        y = self.cv2(self.cv1(x))
-        return T.add(x, y) if self.shortcut else y
+        return T.add(x, self.cv2(self.cv1(x)))
 
 
 class C3(Layer):
@@ -85,11 +83,11 @@ class InvertedBottleneck(Layer):
         ce = c * expansion
         self.c = c
         self.bn1 = BatchNorm2d(c)
-        self.c1 = Conv2d(c, ce, 1, bias=True)
+        self.c1 = Conv2d(c, ce, 1)
         self.bn2 = BatchNorm2d(ce)
-        self.dw = DepthwiseConv2d(ce, 3, bias=True)
+        self.dw = DepthwiseConv2d(ce, 3)
         self.bn3 = BatchNorm2d(ce)
-        self.c2 = Conv2d(ce, c, 1, bias=True)
+        self.c2 = Conv2d(ce, c, 1)
 
     def forward(self, x):
         if x.shape[1] != self.c:
@@ -157,9 +155,9 @@ class Cbam(Layer):
                 f"channels ({c}) must be >= the reduction ratio ({reduction})")
         hidden = c // reduction
         self.c = c
-        self.fc1 = Conv2d(c, hidden, 1, bias=True)
-        self.fc2 = Conv2d(hidden, c, 1, bias=True)
-        self.sam_conv = Conv2d(2, 1, sam_kernel, padding=sam_kernel // 2, bias=True)
+        self.fc1 = Conv2d(c, hidden, 1)
+        self.fc2 = Conv2d(hidden, c, 1)
+        self.sam_conv = Conv2d(2, 1, sam_kernel)
 
     def _mlp(self, pooled):
         return self.fc2(T.relu(self.fc1(pooled)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import decode as D
 from . import profiler as P
-from .network import ConfigError, Model, ModelConfig
+from .network import ConfigError, Model, ModelConfig, check_input_shape
 from .tensor import DomainError, tensor
 
 
@@ -107,6 +107,7 @@ def _cmd_forward(args):
         raise ConfigError(f"--shape needs four dims, got {args.shape!r}")
     if dims[0] != 1:
         raise ConfigError(f"forward takes one image: --shape batch must be 1, got {dims[0]}")
+    check_input_shape(dims)
     raw = np.fromfile(args.image, dtype="<f4")
     expected = int(np.prod(dims))
     if raw.size != expected:

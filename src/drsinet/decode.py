@@ -35,6 +35,8 @@ DEFAULT_FALLOFF = 2.0 * COCO_KEYPOINT_CONSTANTS
 OKS_THRESHOLDS = np.linspace(0.5, 0.95, 10)
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 LARGE_AREA = 96.0 ** 2
+# detections per image the protocol scores, best first
+MAX_DETS = 20
 
 # Score-sorted rows per box_iou call in nms: the IoU matrix is (rows, alive),
 # never (n, n).  A block's later rows also score the candidates its earlier
@@ -90,8 +92,9 @@ class Detections:
 
     @property
     def area(self):
-        """Box areas w * h, (M,)."""
-        return self.boxes[:, 2] * self.boxes[:, 3]
+        """Box areas w * h, (M,); a product past the float range is inf."""
+        with np.errstate(over="ignore"):
+            return self.boxes[:, 2] * self.boxes[:, 3]
 
 
 @dataclass
@@ -125,9 +128,13 @@ class KeypointSigmas:
             self.falloff = np.asarray(self.falloff, dtype=np.float64).reshape(-1)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"falloff constants must be numbers: {exc}") from None
-        # NaN fails every comparison, so the test is written to fail closed
-        if not np.all(np.isfinite(self.falloff) & (self.falloff > 0)):
-            raise DomainError("falloff constants must be finite and > 0")
+        # NaN fails every comparison, so the test is written to fail closed;
+        # the OKS scale holds the square, which must not underflow to 0
+        with np.errstate(over="ignore"):
+            square = self.falloff ** 2
+        if not np.all(np.isfinite(square) & (self.falloff > 0) & (square > 0)):
+            raise DomainError("falloff constants must be finite and > 0, and so must "
+                              "their squares")
 
 
 # ---------------------------------------------------------------------------
@@ -262,25 +269,45 @@ def nms(dets, iou_threshold):
 # keypoint similarity and evaluation
 # ---------------------------------------------------------------------------
 
+def _oks_table(pred, gts, sigmas):
+    """Similarity of predicted keypoints (..., K, 3) to each annotated
+    instance of the list ``gts``, as an array (..., G).
+
+    The squared distances, scales and exponentials are computed once over
+    (..., G, K); each instance's column is then the mean over its visible
+    keypoints of a (..., n_visible) array, so it sums in the order a
+    one-instance table does.  A distance past the float range gives a term
+    of exactly 0, the limit of the exponential.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    visible = [gt.visible for gt in gts]
+    for gt, vis in zip(gts, visible):
+        if not vis.any():
+            raise DomainError("ground-truth instance has no visible keypoints")
+        if pred.ndim < 2 or pred.shape[-2:] != gt.keypoints.shape:
+            raise ShapeError("prediction and ground truth disagree on keypoint count")
+    k = pred.shape[-2]
+    if sigmas.falloff.shape != (k,):
+        raise ShapeError(f"{sigmas.falloff.size} falloff constants for {k} keypoints")
+    gt_kps = np.stack([gt.keypoints for gt in gts])                # (G, K, 3)
+    with np.errstate(over="ignore"):
+        scale = 2.0 * np.array([gt.area for gt in gts])[:, None] * sigmas.falloff ** 2
+        if not np.all(np.isfinite(scale) & (scale > 0)):
+            raise DomainError("OKS scale 2 * area * falloff^2 must be finite and > 0")
+        d2 = ((pred[..., None, :, 0] - gt_kps[:, :, 0]) ** 2
+              + (pred[..., None, :, 1] - gt_kps[:, :, 1]) ** 2)
+    terms = np.exp(-d2 / scale)
+    out = np.empty(terms.shape[:-1])
+    for g, vis in enumerate(visible):
+        out[..., g] = terms[..., g, :][..., vis].mean(axis=-1)
+    return out
+
+
 def oks(pred_keypoints, gt, sigmas=None):
     """Similarity of predicted keypoints (..., K, 3) to one annotated
     instance, over the leading axes of the prediction (a float for one
     (K, 3) prediction)."""
-    sigmas = sigmas or KeypointSigmas()
-    pred = np.asarray(pred_keypoints, dtype=np.float64)
-    vis = gt.visible
-    if not np.any(vis):
-        raise DomainError("ground-truth instance has no visible keypoints")
-    if pred.ndim < 2 or pred.shape[-2:] != gt.keypoints.shape:
-        raise ShapeError("prediction and ground truth disagree on keypoint count")
-    if sigmas.falloff.shape != (len(gt.keypoints),):
-        raise ShapeError(f"{sigmas.falloff.size} falloff constants for "
-                         f"{len(gt.keypoints)} keypoints")
-    d2 = ((pred[..., 0] - gt.keypoints[:, 0]) ** 2
-          + (pred[..., 1] - gt.keypoints[:, 1]) ** 2)
-    s2 = float(gt.area)
-    terms = np.exp(-d2 / (2.0 * s2 * sigmas.falloff ** 2))
-    out = terms[..., vis].mean(axis=-1)
+    out = _oks_table(pred_keypoints, [gt], sigmas or KeypointSigmas())[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -332,9 +359,9 @@ def _average_precision(tp_flags, n_gt):
     return float(np.mean(interp))
 
 
-def _score_images(preds_by_image, gts_by_image, sigmas, max_dets):
+def _score_images(preds_by_image, gts_by_image, sigmas):
     """Images by id, padded to the most detections and ground truths any of
-    them has: each image's ``max_dets`` best detections (best first, ties
+    them has: each image's ``MAX_DETS`` best detections (best first, ties
     in input order) and its ground truths with visible keypoints.  Returns
     the scores and areas of the detections (I, D), the areas of the ground
     truths (I, G), masks of the real slots of both, and the OKS matrix
@@ -343,7 +370,7 @@ def _score_images(preds_by_image, gts_by_image, sigmas, max_dets):
     dets, gts = [], []
     for img in images:
         d = preds_by_image.get(img)
-        dets.append(d[np.argsort(-d.scores, kind="stable")[:max_dets]]
+        dets.append(d[np.argsort(-d.scores, kind="stable")[:MAX_DETS]]
                     if d is not None and len(d) else None)
         gts.append([g for g in gts_by_image.get(img, []) if np.any(g.visible)])
     n_det = max([len(d) for d in dets if d is not None], default=0)
@@ -362,8 +389,8 @@ def _score_images(preds_by_image, gts_by_image, sigmas, max_dets):
         scores[i, :len(d)] = d.scores
         det_area[i, :len(d)] = d.area
         det_real[i, :len(d)] = True
-        for k, inst in enumerate(g):
-            table[i, :len(d), k] = oks(d.keypoints, inst, sigmas)
+        if g:
+            table[i, :len(d), :len(g)] = _oks_table(d.keypoints, g, sigmas)
     return scores, det_area, det_real, gt_area, gt_real, table
 
 
@@ -390,16 +417,16 @@ def _evaluate_pass(tables, area_range=None):
     return np.asarray(ap), np.asarray(rec)
 
 
-def evaluate(preds_by_image, gts_by_image, sigmas=None, max_dets=20):
+def evaluate(preds_by_image, gts_by_image, sigmas=None):
     """AP/AR protocol over per-image detections and annotations.
 
     Ground-truth instances without visible keypoints are skipped.  Detections
-    are capped at ``max_dets`` per image by score.  Returns AP (mean over
+    are capped at ``MAX_DETS`` per image by score.  Returns AP (mean over
     thresholds 0.50..0.95), AP50, AP75, APL (gt area > 96^2) and AR (mean
     recall over the thresholds at the detection cap).
     """
     sigmas = sigmas or KeypointSigmas()
-    tables = _score_images(preds_by_image, gts_by_image, sigmas, max_dets)
+    tables = _score_images(preds_by_image, gts_by_image, sigmas)
     ap, recall = _evaluate_pass(tables)
     ap_large, _ = _evaluate_pass(tables, area_range=(LARGE_AREA, float("inf")))
     return {
@@ -433,9 +460,11 @@ def read_ground_truth(path):
         data = json.load(fh)
     out = {}
     try:
-        annotations = data["annotations"] if isinstance(data, dict) else list(data)
-    except (KeyError, TypeError) as exc:
+        annotations = data["annotations"] if isinstance(data, dict) else data
+    except KeyError as exc:
         raise _malformed(str(path), exc) from None
+    if not isinstance(annotations, list):
+        raise FormatError(f"{path}: annotations must be a JSON array")
     for n, ann in enumerate(annotations):
         try:
             kps = np.asarray(ann["keypoints"], dtype=np.float64).reshape(-1, 3)
@@ -501,7 +530,9 @@ def _image_arrays(keypoints, boxes):
     if no_box.any():
         xy = kps[no_box, :, :2]
         lo = xy.min(axis=1)
-        side = np.maximum(xy.max(axis=1) - lo, 1.0)
+        # an extent past the float range is an infinite side
+        with np.errstate(over="ignore"):
+            side = np.maximum(xy.max(axis=1) - lo, 1.0)
         out[no_box] = np.concatenate([lo + side / 2.0, side], axis=1)
     return kps, out
 
@@ -561,12 +592,12 @@ def read_results(path):
     return out
 
 
-def write_results(dets_by_image, path, category_id=1):
-    """Write detections as a COCO keypoint results array: images by
-    ascending id, each image's rows in their order in its container.  The
-    bytes are those of one ``json.dumps`` of the whole array; the C encoder
-    runs on ``_WRITE_BLOCK_ROWS`` rows at a time, so the memory it takes
-    does not grow with the output."""
+def write_results(dets_by_image, path):
+    """Write detections as a COCO keypoint results array of category 1:
+    images by ascending id, each image's rows in their order in its
+    container.  The bytes are those of one ``json.dumps`` of the whole
+    array; the C encoder runs on ``_WRITE_BLOCK_ROWS`` rows at a time, so
+    the memory it takes does not grow with the output."""
     sep = ""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[")
@@ -578,7 +609,7 @@ def write_results(dets_by_image, path, category_id=1):
             area = dets.area
             for r0 in range(0, len(dets), _WRITE_BLOCK_ROWS):
                 rows = slice(r0, r0 + _WRITE_BLOCK_ROWS)
-                items = [{"image_id": int(image_id), "category_id": int(category_id),
+                items = [{"image_id": int(image_id), "category_id": 1,
                           "bbox": b, "score": s, "area": a, "keypoints": k}
                          for b, s, a, k in zip(bbox[rows].tolist(), dets.scores[rows].tolist(),
                                                area[rows].tolist(), keypoints[rows].tolist())]

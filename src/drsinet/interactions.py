@@ -68,12 +68,12 @@ class ResGnConv(Layer):
         self.scheme = build_scheme(c, n)
         self.lam = float(lam)
         self.residual_enabled = bool(residual_enabled)
-        self.phi_in = Conv2d(c, 2 * c, 1, bias=True)
-        self.dw = DepthwiseConv2d(self.scheme.c_q, DW_KERNEL, bias=True)
+        self.phi_in = Conv2d(c, 2 * c, 1)
+        self.dw = DepthwiseConv2d(self.scheme.c_q, DW_KERNEL)
         # g_k: pointwise projection to the next order's width
         self.g_k = LayerList([ConvBnSilu(self.scheme.c_k[k - 1], self.scheme.c_k[k], 1)
                               for k in range(1, n)])
-        self.phi_out = Conv2d(c, c, 1, bias=True)
+        self.phi_out = Conv2d(c, c, 1)
 
     def forward(self, x):
         sch = self.scheme

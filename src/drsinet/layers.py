@@ -43,16 +43,16 @@ class Layer:
         for name, child in self._children.items():
             yield from child.named_layers(_join(prefix, name))
 
-    def named_parameters(self, prefix=""):
+    def named_parameters(self):
         """All parameters (trainable and buffers) in construction order."""
-        for path, layer in self.named_layers(prefix):
+        for path, layer in self.named_layers():
             for name, p in layer._params.items():
                 yield _join(path, name), p
 
-    def finalize(self, seed, prefix=""):
+    def finalize(self, seed):
         """Materialize every parameter from the (seed, name)-keyed stream."""
         names = set()
-        for name, p in self.named_parameters(prefix):
+        for name, p in self.named_parameters():
             if name in names:
                 raise ValueError(f"duplicate parameter name {name!r}")
             names.add(name)
@@ -110,43 +110,39 @@ class LayerList:
 
 
 class Conv2d(Layer):
-    """Plain convolution layer (cross-correlation), optional bias."""
+    """Convolution layer (cross-correlation), optional bias, padding k//2."""
 
-    def __init__(self, c_in, c_out, k, stride=1, padding=None, bias=True):
+    def __init__(self, c_in, c_out, k, stride=1, bias=True):
         super().__init__()
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride = stride
-        self.padding = k // 2 if padding is None else padding
         self.weight = Parameter((c_out, c_in, k, k), init=("kaiming", c_in * k * k))
         self.bias = Parameter((c_out,), init=("const", 0.0)) if bias else None
 
     def forward(self, x):
         b = self.bias.value if self.bias is not None else None
-        return T.conv2d(x, self.weight.value, b, self.stride, self.padding)
+        return T.conv2d(x, self.weight.value, b, self.stride, self.k // 2)
 
 
 class DepthwiseConv2d(Layer):
-    """Per-channel convolution layer."""
+    """Per-channel convolution layer with bias: stride 1, padding k//2."""
 
-    def __init__(self, c, k, stride=1, padding=None, bias=True):
+    def __init__(self, c, k):
         super().__init__()
         self.c, self.k = c, k
-        self.stride = stride
-        self.padding = k // 2 if padding is None else padding
         self.weight = Parameter((c, 1, k, k), init=("kaiming", k * k))
-        self.bias = Parameter((c,), init=("const", 0.0)) if bias else None
+        self.bias = Parameter((c,), init=("const", 0.0))
 
     def forward(self, x):
-        b = self.bias.value if self.bias is not None else None
-        return T.depthwise_conv2d(x, self.weight.value, b, self.stride, self.padding)
+        return T.depthwise_conv2d(x, self.weight.value, self.bias.value, 1, self.k // 2)
 
 
 class BatchNorm2d(Layer):
     """Batch normalization layer; always runs with running statistics."""
 
-    def __init__(self, c, eps=1e-5):
+    def __init__(self, c):
         super().__init__()
-        self.c, self.eps = c, eps
+        self.c = c
         self.gamma = Parameter((c,), init=("const", 1.0))
         self.beta = Parameter((c,), init=("const", 0.0))
         self.running_mean = Parameter((c,), init=("const", 0.0), trainable=False)
@@ -155,28 +151,28 @@ class BatchNorm2d(Layer):
     def forward(self, x):
         return T.batch_norm(x, self.gamma.value, self.beta.value,
                             self.running_mean.value, self.running_var.value,
-                            eps=self.eps)
+                            eps=1e-5)
 
 
 class LayerNorm2d(Layer):
     """Per-location channel normalization layer."""
 
-    def __init__(self, c, eps=1e-6):
+    def __init__(self, c):
         super().__init__()
-        self.c, self.eps = c, eps
+        self.c = c
         self.gamma = Parameter((c,), init=("const", 1.0))
         self.beta = Parameter((c,), init=("const", 0.0))
 
     def forward(self, x):
-        return T.layer_norm(x, self.gamma.value, self.beta.value, eps=self.eps)
+        return T.layer_norm(x, self.gamma.value, self.beta.value, eps=1e-6)
 
 
 class ConvBnSilu(Layer):
-    """Convolution + batch norm + SiLU; padding is always k//2."""
+    """Convolution + batch norm + SiLU."""
 
     def __init__(self, c_in, c_out, k=1, stride=1):
         super().__init__()
-        self.conv = Conv2d(c_in, c_out, k, stride=stride, padding=k // 2, bias=False)
+        self.conv = Conv2d(c_in, c_out, k, stride=stride, bias=False)
         self.bn = BatchNorm2d(c_out)
 
     def forward(self, x):

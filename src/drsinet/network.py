@@ -143,6 +143,9 @@ class ModelConfig:
             raise ConfigError("base_depths must list the four stage depths")
         if self.order_n < 1:
             raise ConfigError(f"order_n must be >= 1, got {self.order_n}")
+        # 0 hidden channels would make every inverted bottleneck its skip
+        if self.expansion < 1:
+            raise ConfigError(f"expansion must be >= 1, got {self.expansion}")
         # NaN fails every comparison, so the test is written to fail closed
         for name in ("width_mult", "depth_mult", "lambda_", "cbam_reduction"):
             value = getattr(self, name)
@@ -240,6 +243,17 @@ class ModelConfig:
         return data
 
 
+def check_input_shape(shape):
+    """Reject an input shape (n, c, h, w) the backbone cannot take: it reads
+    3 channels, and its six halvings (the stem and five stride-2 convs) need
+    positive sides divisible by 64."""
+    _, c, h, w = shape
+    if c != 3:
+        raise ShapeError(f"backbone expects 3 input channels, got {c}")
+    if h <= 0 or w <= 0 or h % 64 or w % 64:
+        raise ShapeError(f"input dims must be positive and divisible by 64, got {h}x{w}")
+
+
 class _Stage(Layer):
     """Stride-2 entry conv followed by a cross-stage body."""
 
@@ -278,11 +292,7 @@ class Backbone(Layer):
         self.out_channels = ch[1:]
 
     def forward(self, x):
-        n, c, h, w = x.shape
-        if c != 3:
-            raise ShapeError(f"backbone expects 3 input channels, got {c}")
-        if h % 64 or w % 64:
-            raise ShapeError(f"input dims must be divisible by 64, got {h}x{w}")
+        check_input_shape(x.shape)
         y = self.focus(x)
         feats = []
         for stage in self.stages:
@@ -379,7 +389,7 @@ class Model(Layer):
         self.backbone = Backbone(cfg)
         self.neck = Neck(self.backbone.out_channels, cfg)
         self.heads = LayerList([
-            Conv2d(c, cfg.head_channels(), 1, bias=True)
+            Conv2d(c, cfg.head_channels(), 1)
             for c in self.backbone.out_channels])
         # the layer tree holds only shapes until it is materialized
         for name, p in self.named_parameters():

@@ -82,7 +82,7 @@ def profile(cfg: ModelConfig, input_size: int) -> ProfileReport:
     model = Model(cfg)
     params = {}
     for name, p in model.named_parameters():
-        p.set(_zeros(p.storage_shape))
+        p.set(_zeros(p.logical_shape))
         if p.trainable:
             owner = name.rpartition(".")[0]
             params[owner] = params.get(owner, 0) + p.count()
@@ -129,11 +129,11 @@ def report_jsonl(report: ProfileReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def largest_param_layers(report: ProfileReport, top=10):
-    """Rows with the highest parameter counts, for band-miss diagnostics."""
+def largest_param_layers(report: ProfileReport):
+    """The five rows with the most parameters, for band-miss diagnostics."""
     rows = [r for r in report.rows if r.params > 0]
     rows.sort(key=lambda r: r.params, reverse=True)
-    return rows[:top]
+    return rows[:5]
 
 
 # ---------------------------------------------------------------------------

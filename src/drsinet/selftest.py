@@ -93,7 +93,7 @@ def check_reduction_oracle():
         toggled = ResGnConv(8, n=n, lam=3.0, residual_enabled=True).finalize(17)
         for (_, p1), (_, p2) in zip(plain.named_parameters(),
                                     toggled.named_parameters()):
-            p2.set(p1.value.numpy())
+            p2.set(p1.value.numpy().reshape(p1.logical_shape))
         toggled.residual_enabled = False
         toggled.lam = 1.0
         for _ in range(20):
@@ -111,11 +111,20 @@ def check_reduction_oracle():
 # 3. gradient suite
 # ---------------------------------------------------------------------------
 
-def _primitive_gradchecks(seed):
+def primitive_cases(seed):
+    """Every tensor primitive as a function of one (1, 2, 4, 4) input, by
+    name, and the generator that goes on to draw the inputs.  The first
+    eleven rows take their weights from that generator and the rest from a
+    second one, so rows added at the end leave the data of earlier rows as
+    it was."""
     rng = np.random.default_rng(seed)
     w_c = tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
     b_c = tensor(rng.normal(size=3).astype(np.float32))
     w_d = tensor(rng.normal(size=(2, 1, 3, 3)).astype(np.float32))
+    more = np.random.default_rng(seed + 1)
+    w_1 = tensor(more.normal(size=(3, 2, 1, 1)).astype(np.float32))
+    w_7 = tensor(more.normal(size=(2, 1, 7, 7)).astype(np.float32))
+    other = tensor(more.normal(size=(1, 2, 4, 4)).astype(np.float32))
     ga = np.array([1.3, 0.7], np.float32)
     be = np.array([0.2, -0.4], np.float32)
     rm = np.array([0.1, -0.2], np.float32)
@@ -132,7 +141,27 @@ def _primitive_gradchecks(seed):
         "concat_split": lambda x: T.concat_channels(T.split_channels(x, [1, 1])[::-1]),
         "upsample_nearest2x": T.upsample_nearest2x,
         "max_pool": lambda x: T.max_pool(x, 3, 1, 1),
+        "conv2d_stride2": lambda x: T.conv2d(x, w_c, b_c, 2, 1),
+        "conv1x1": lambda x: T.conv2d(x, w_1, b_c),
+        "depthwise_stride2": lambda x: T.depthwise_conv2d(x, w_d, None, 2, 1),
+        "depthwise_7x7": lambda x: T.depthwise_conv2d(x, w_7, None, 1, 3),
+        "relu": T.relu,
+        "scale": lambda x: T.scale(x, -1.7),
+        "mul_other": lambda x: T.mul(x, other),
+        "add_self": lambda x: T.add(x, x),
+        "broadcast": lambda x: T.broadcast_mul(x, T.sigmoid(T.global_avg_pool(x))),
+        "max_pool_5x5": lambda x: T.max_pool(x, 5, 1, 2),
+        "space_to_depth": T.space_to_depth_2x2,
+        "global_avg": T.global_avg_pool,
+        "global_max": T.global_max_pool,
+        "channel_mean": T.channel_mean,
+        "channel_max": T.channel_max,
     }
+    return rng, cases
+
+
+def _primitive_gradchecks(seed):
+    rng, cases = primitive_cases(seed)
     out = []
     for name, fn in cases.items():
         err = max(grad_check(fn, tensor(rng.normal(size=(1, 2, 4, 4))
@@ -264,7 +293,7 @@ def check_parameter_bands():
         details.append(f"{variant}={n / 1e6:.1f}M")
         if not lo <= n <= hi:
             top = "; ".join(f"{r.name}={r.params / 1e6:.2f}M"
-                            for r in largest_param_layers(report, top=5))
+                            for r in largest_param_layers(report))
             return CheckResult(
                 "parameter-bands", False,
                 f"{variant} has {n / 1e6:.1f}M outside [{lo / 1e6:.1f}M, "

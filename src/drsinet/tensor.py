@@ -151,14 +151,12 @@ class Parameter:
         return self._value
 
     def set(self, array):
-        """Replace the value; shape must match (logical or storage)."""
+        """Replace the value with an array of the logical shape."""
         arr = np.asarray(array, dtype=np.float32)
-        if arr.shape == self.logical_shape:
-            arr = arr.reshape(self.storage_shape)
-        if arr.shape != self.storage_shape:
+        if arr.shape != self.logical_shape:
             raise ShapeError(
                 f"parameter {self.name!r} expects {self.logical_shape}, got {arr.shape}")
-        self._value = Tensor(arr)
+        self._value = Tensor(arr.reshape(self.storage_shape))
 
     def materialize(self, seed, name):
         self.name = name
@@ -1135,8 +1133,9 @@ def channel_max(x):
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def grad_check(fn, x, seed=0, step=1e-5, sample=None):
-    """Compare reverse-mode gradients of ``fn`` against central differences.
+def grad_check(fn, x, seed=0, sample=None):
+    """Compare reverse-mode gradients of ``fn`` against central differences
+    of step ``1e-5 * max(1, |x_i|)``.
 
     Runs in 64-bit mode.  Returns the max over checked coordinates of
     ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.  ``sample``
@@ -1163,7 +1162,7 @@ def grad_check(fn, x, seed=0, step=1e-5, sample=None):
     max_err = 0.0
     for i in coords:
         v = flat[i]
-        h = step * max(1.0, abs(v))
+        h = 1e-5 * max(1.0, abs(v))
         flat[i] = v + h
         vp = flat[i]
         yp = fn(Tensor(base)).data

@@ -208,12 +208,34 @@ class TestEvalCommand:
                      "--sigmas", paths["sig"]]) == 0
         assert "AP 1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entry, ap", [
+        # the distance overflows: the OKS is its limit, 0
+        ({"keypoints": [1e308, 50.0, 0.9] * 17}, "0.0000"),
+        # so does the extent of the keypoints, the box of an entry without one
+        ({"keypoints": [-1e308, 50.0, 0.9] + [1e308, 50.0, 0.9] * 16}, "0.0000"),
+        # the box area overflows; the OKS does not use it
+        ({"keypoints": [50.0, 50.0, 0.9] * 17, "bbox": [0.0, 0.0, 1e200, 1e200]}, "1.0000"),
+    ])
+    def test_sizes_past_float_range_print_no_warning(self, entry, ap, tmp_path, capsys):
+        (tmp_path / "gt.json").write_text(_GOOD_GT)
+        (tmp_path / "pred.json").write_text(
+            json.dumps([{"image_id": 1, "score": 0.5, **entry}]))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--gt", str(tmp_path / "gt.json"),
+                         "--pred", str(tmp_path / "pred.json")])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert [str(w.message) for w in caught] == []
+        assert f"AP {ap}" in out
+
 
 _GT_KPS = [50.0, 50.0, 2.0] + [0.0] * 48
 _PRED_KPS = [50.0, 50.0, 0.9] * 17
 
 
-def _forward_case(image, *flags, archive=None):
+def _forward_case(image, *flags, archive=None, shape="1,3,64,64"):
     """A forward call; ``image`` None leaves the image file unwritten and
     ``archive`` bytes replace the weight archive."""
     def make(tmp_path, cfg_path, weights):
@@ -223,7 +245,7 @@ def _forward_case(image, *flags, archive=None):
         if archive is not None:
             weights.write_bytes(archive)
         return ["forward", "--config", str(cfg_path), "--weights", str(weights),
-                "--image", str(image_path), "--shape", "1,3,64,64",
+                "--image", str(image_path), "--shape", shape,
                 "--out", str(tmp_path / "o.json"), *flags]
     return make
 
@@ -276,6 +298,13 @@ MALFORMED = {
     "all-nan image": (_forward_case(_NAN_IMAGE), 1, "non-finite"),
     "one inf pixel": (_forward_case(_INF_PIXEL), 1, "1 non-finite"),
     "image size mismatch": (_forward_case(np.zeros(10)), 1, "shape needs 12288"),
+    # the backbone's input rule, checked before the build
+    "image of 4 channels": (_forward_case(np.zeros((1, 4, 64, 64)), shape="1,4,64,64"), 1,
+                            "backbone expects 3 input channels, got 4"),
+    "image height 96": (_forward_case(np.zeros((1, 3, 96, 64)), shape="1,3,96,64"), 1,
+                        "input dims must be positive and divisible by 64, got 96x64"),
+    "image height 0": (_forward_case(np.zeros(0), shape="1,3,0,64"), 1,
+                       "input dims must be positive and divisible by 64, got 0x64"),
     # thresholds are checked before the (here missing) image is read
     "conf nan": (_forward_case(None, "--conf", "nan"), 1, "--conf must be in [0, 1]"),
     "conf below 0": (_forward_case(None, "--conf", "-1"), 1, "--conf must be in [0, 1]"),
@@ -310,6 +339,18 @@ MALFORMED = {
         _eval_case(_GOOD_PRED, '{"annotations": [{"image_id": 1, "area": 4.0}]}'), 1,
         "missing 'keypoints'"),
     "missing results file": (_eval_case(None), 2, "i/o error: "),
+    "ground truth annotations a number": (
+        _eval_case(_GOOD_PRED, '{"annotations": 5}'), 1, "annotations must be a JSON array"),
+    "ground truth annotations null": (
+        _eval_case(_GOOD_PRED, '{"annotations": null}'), 1,
+        "annotations must be a JSON array"),
+    # 2 * area * falloff^2 is 0 or inf in float64
+    "ground truth area 1e-322": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace("400.0", "1e-322")), 1,
+        "OKS scale 2 * area * falloff^2 must be finite and > 0"),
+    "ground truth area 1e300 with sigmas 1e10": (
+        _eval_case(_GOOD_PRED, _GOOD_GT.replace("400.0", "1e300"), json.dumps([1e10] * 17)),
+        1, "OKS scale 2 * area * falloff^2 must be finite and > 0"),
     # an image id is a JSON integer: 1.7, true or "1" is not image 1
     "result image_id 1.7": (
         _eval_case(_GOOD_PRED.replace('"image_id": 1', '"image_id": 1.7')), 1,
@@ -345,6 +386,11 @@ MALFORMED = {
     "sigmas one of 17": (_sigmas_case("[0.05]"), 1, "1 falloff constants for 17 keypoints"),
     "sigmas bare number": (_sigmas_case("0.05"), 1, "1 falloff constants for 17 keypoints"),
     "sigmas an object": (_sigmas_case('{"a": 1}'), 1, "falloff constants must be numbers"),
+    # their squares underflow to 0, or overflow
+    "sigmas 1e-320": (_sigmas_case(json.dumps([1e-320] * 17)), 1, "so must their squares"),
+    "sigmas 1e200": (_sigmas_case(json.dumps([1e200] * 17)), 1, "so must their squares"),
+    "config expansion 0": (_config_case(expansion=0), 1, "expansion must be >= 1, got 0"),
+    "config expansion -1": (_config_case(expansion=-1), 1, "expansion must be >= 1, got -1"),
     "config cbam_reduction 0": (
         _config_case(cbam_reduction=0), 1, "cbam_reduction must be finite and > 0"),
     "config depth_mult Infinity": (
@@ -381,7 +427,7 @@ _FOUND_AFTER_FORWARD = {"image of 3e38"}
 
 class TestMalformedInput:
     """Each malformed input ends with exit 1 (validation) or 2 (I/O) and one
-    line on stderr, never a traceback."""
+    line on stderr, never a traceback or a warning."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_one_line_exit_code(self, case, mini_cfg_file, tmp_path, capsys,
@@ -401,14 +447,17 @@ class TestMalformedInput:
         elif case not in _FOUND_AFTER_FORWARD:
             monkeypatch.setattr(cli, "Model", refuse("model built"))
         capsys.readouterr()
-        try:
-            got = main(argv)
-        except SystemExit as exc:
-            got = exc.code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = exc.code
         err = capsys.readouterr().err
         assert got in (1, 2) and got == code
         assert "Traceback" not in err and err.count("\n") == 1
         assert text in err
+        assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "o.json").exists()
 
 

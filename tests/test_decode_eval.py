@@ -248,10 +248,13 @@ def random_results(rng):
 
 
 def old_oks(pred, gt, falloff=DEFAULT_FALLOFF):
-    d2 = ((pred[:, 0] - gt.keypoints[:, 0]) ** 2
-          + (pred[:, 1] - gt.keypoints[:, 1]) ** 2)
+    """OKS of predictions (..., K, 3) against one instance as the package
+    computed it before its per-image table: a (..., n_visible) mean."""
+    d2 = ((pred[..., 0] - gt.keypoints[:, 0]) ** 2
+          + (pred[..., 1] - gt.keypoints[:, 1]) ** 2)
     terms = np.exp(-d2 / (2.0 * float(gt.area) * falloff ** 2))
-    return float(terms[gt.visible].mean())
+    out = terms[..., gt.visible].mean(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def old_objects(dets):
@@ -291,7 +294,7 @@ def old_score_images(preds_by_image, gts_by_image, sigmas, max_dets):
         dets = dets[np.argsort(-dets.scores, kind="stable")[:max_dets]]
         matrix = np.empty((len(dets), len(gts)), dtype=np.float64)
         for g_idx, g in enumerate(gts):
-            matrix[:, g_idx] = oks(dets.keypoints, g, sigmas)
+            matrix[:, g_idx] = old_oks(dets.keypoints, g, sigmas.falloff)
         tables.append((dets.scores, dets.area, [g.area for g in gts], matrix))
     return tables
 
@@ -851,7 +854,7 @@ class TestMatcher:
             preds, gts = matcher_case(rng)
             old_tables = old_score_images(preds, gts, sigmas, 20)
             _, _, det_real, gt_area, gt_real, table = decode_module._score_images(
-                preds, gts, sigmas, 20)
+                preds, gts, sigmas)
             for area_range in (None, (LARGE_AREA, float("inf"))):
                 counted = gt_real
                 if area_range is not None:
@@ -863,6 +866,19 @@ class TestMatcher:
                         np.testing.assert_array_equal(
                             got[i, t, det_real[i]], want[t * len(old_tables) + i])
             assert evaluate(preds, gts, sigmas) == old_evaluate(preds, gts, sigmas)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_oks_table_equals_per_instance_oks(self, seed):
+        """Each image's OKS table, computed once over (detections, ground
+        truths, keypoints), holds the bytes of one OKS per ground truth."""
+        rng = np.random.default_rng(seed)
+        sigmas = KeypointSigmas()
+        for _ in range(12):
+            preds, gts = matcher_case(rng)
+            table = decode_module._score_images(preds, gts, sigmas)[5]
+            for i, (*_, want) in enumerate(old_score_images(preds, gts, sigmas, 20)):
+                got = table[i, :want.shape[0], :want.shape[1]]
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
     def test_cases_cover_ties_ignored_and_crowds(self):
         """The seeded cases above reach every situation they are meant to."""

@@ -12,7 +12,7 @@ from drsinet.tensor import DomainError, Tape, grad_check, tensor
 def copy_weights(src, dst):
     for (n1, p1), (n2, p2) in zip(src.named_parameters(), dst.named_parameters()):
         assert n1 == n2
-        p2.set(p1.value.numpy())
+        p2.set(p1.value.numpy().reshape(p1.logical_shape))
 
 
 def unrolled(layer, x):

@@ -188,7 +188,7 @@ class TestNeck:
         pan_names = dict(pan.named_parameters())
         for name, p in cbam.named_parameters():
             if name in pan_names:
-                p.set(pan_names[name].value.numpy())
+                p.set(pan_names[name].value.numpy().reshape(p.logical_shape))
             else:
                 assert ".attn." in name
                 p.set(np.zeros(p.logical_shape, np.float32))

@@ -124,7 +124,7 @@ class TestProfile:
 
     def test_largest_param_layers_sorted(self):
         report = profile(ModelConfig(variant="s"), 640)
-        top = largest_param_layers(report, top=5)
+        top = largest_param_layers(report)
         assert len(top) == 5
         assert all(a.params >= b.params for a, b in zip(top, top[1:]))
 

@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from drsinet import tensor as T
 from drsinet.layers import Conv2d
+from drsinet.selftest import primitive_cases
 from drsinet.tensor import (
     DomainError, ShapeError, Tape, TapeError, Tensor, grad_check, tensor,
 )
@@ -601,49 +602,6 @@ class TestPerThreadState:
         with Tape(), T.mac_counter():
             pass
 
-def _primitive_cases(rng):
-    w_c = tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
-    b_c = tensor(rng.normal(size=3).astype(np.float32))
-    w_d = tensor(rng.normal(size=(2, 1, 3, 3)).astype(np.float32))
-    # later rows draw from their own generator, so earlier rows keep their data
-    more = np.random.default_rng(8)
-    w_1 = tensor(more.normal(size=(3, 2, 1, 1)).astype(np.float32))
-    w_7 = tensor(more.normal(size=(2, 1, 7, 7)).astype(np.float32))
-    ga = np.array([1.3, 0.7], np.float32)
-    be = np.array([0.2, -0.4], np.float32)
-    rm = np.array([0.1, -0.2], np.float32)
-    rv = np.array([1.5, 0.8], np.float32)
-    other = tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
-    return {
-        "conv2d": lambda x: T.conv2d(x, w_c, b_c, stride=1, padding=1),
-        "conv2d_stride2": lambda x: T.conv2d(x, w_c, b_c, stride=2, padding=1),
-        "conv1x1": lambda x: T.conv2d(x, w_1, b_c),
-        "depthwise": lambda x: T.depthwise_conv2d(x, w_d, None, 1, 1),
-        "depthwise_stride2": lambda x: T.depthwise_conv2d(x, w_d, None, 2, 1),
-        "depthwise_7x7": lambda x: T.depthwise_conv2d(x, w_7, None, 1, 3),
-        "batch_norm": lambda x: T.batch_norm(x, ga, be, rm, rv, eps=1e-5),
-        "layer_norm": lambda x: T.layer_norm(x, ga, be, eps=1e-5),
-        "silu": T.silu,
-        "gelu": T.gelu,
-        "sigmoid": T.sigmoid,
-        "relu": T.relu,
-        "mul_other": lambda x: T.mul(x, other),
-        "add_self": lambda x: T.add(x, x),
-        "broadcast": lambda x: T.broadcast_mul(
-            x, T.sigmoid(T.global_avg_pool(x))),
-        "concat_split": lambda x: T.concat_channels(
-            T.split_channels(x, [1, 1])[::-1]),
-        "upsample": T.upsample_nearest2x,
-        "max_pool": lambda x: T.max_pool(x, 3, stride=1, padding=1),
-        "max_pool_5x5": lambda x: T.max_pool(x, 5, stride=1, padding=2),
-        "space_to_depth": T.space_to_depth_2x2,
-        "global_avg": T.global_avg_pool,
-        "global_max": T.global_max_pool,
-        "channel_mean": T.channel_mean,
-        "channel_max": T.channel_max,
-        "scale": lambda x: T.scale(x, -1.7),
-    }
-
 
 class TestGradCheck:
     def test_identity_zero_error(self, rng):
@@ -654,10 +612,9 @@ class TestGradCheck:
         x = rand_t(rng, (1, 2, 3, 3))
         assert grad_check(T.silu, x, seed=0) <= 1e-6
 
-    @pytest.mark.parametrize("name", sorted(_primitive_cases(np.random.default_rng(7))))
+    @pytest.mark.parametrize("name", sorted(primitive_cases(7)[1]))
     def test_every_primitive(self, name):
-        rng = np.random.default_rng(7)
-        cases = _primitive_cases(rng)
+        rng, cases = primitive_cases(7)
         fn = cases[name]
         for trial in range(5):
             x = tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
