@@ -9,11 +9,12 @@ from .tensor import DomainError, ShapeError
 
 
 class Focus(Layer):
-    """Stem: 2x2 space-to-depth (c -> 4c, h/2, w/2) then a 3x3 ConvBnSilu."""
+    """Stem: 2x2 space-to-depth of the RGB frame (3 -> 12 channels, h/2,
+    w/2) then a 3x3 ConvBnSilu."""
 
-    def __init__(self, c_in, c_out):
+    def __init__(self, c_out):
         super().__init__()
-        self.conv = ConvBnSilu(4 * c_in, c_out, 3)
+        self.conv = ConvBnSilu(12, c_out, 3)
 
     def forward(self, x):
         return self.conv(T.space_to_depth_2x2(x))
@@ -23,13 +24,13 @@ class Spp(Layer):
     """Spatial pyramid pooling: max pools at k in {5, 9, 13}, as three
     chained 5x5 pools.  With -inf padding and stride 1 a 5x5 pool of a 5x5
     pool is the 9x9 pool, and a third gives 13x13; only the sign of a zero
-    max may differ (see ``max_pool``)."""
+    max may differ (see ``max_pool``).  The output keeps the input width."""
 
-    def __init__(self, c_in, c_out):
+    def __init__(self, c):
         super().__init__()
-        c_hidden = c_in // 2
-        self.cv1 = ConvBnSilu(c_in, c_hidden, 1)
-        self.cv2 = ConvBnSilu(4 * c_hidden, c_out, 1)
+        c_hidden = c // 2
+        self.cv1 = ConvBnSilu(c, c_hidden, 1)
+        self.cv2 = ConvBnSilu(4 * c_hidden, c, 1)
 
     def forward(self, x):
         pools = [self.cv1(x)]

@@ -99,11 +99,10 @@ class Detections:
 
 @dataclass
 class GroundTruthInstance:
-    """Annotated person: keypoints with visibility flags, scale and box."""
+    """Annotated person: keypoints with visibility flags and scale."""
 
     keypoints: np.ndarray      # (K, 3): x, y, v with v in {0, 1, 2}
     area: float
-    bbox: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
         self.keypoints = np.asarray(self.keypoints, dtype=np.float64)
@@ -181,17 +180,18 @@ def decode(head, stride, anchors, conf_threshold, num_keypoints=17):
     return Detections(boxes, score[a, i, j], keypoints)
 
 
-def encode(box, keypoints, stride, anchor, cell, objectness=0.9,
-           class_score=0.9, num_keypoints=17):
-    """Inverse of :func:`decode` for one target at a known cell and anchor.
+def encode(box, keypoints, stride, anchor, cell):
+    """Inverse of :func:`decode` for one target at a known cell and anchor,
+    with objectness and class score 0.9.
 
-    Returns the per-anchor logit vector.  Raises if the target is not
-    representable from the given cell (offsets outside the decode range).
+    Returns the per-anchor logit vector for the (K, 3) ``keypoints``.
+    Raises if the target is not representable from the given cell (offsets
+    outside the decode range).
     """
     i, j = cell
     s = float(stride)
     kps = np.asarray(keypoints, dtype=np.float64)
-    out = np.empty(5 + 1 + 3 * num_keypoints, dtype=np.float64)
+    out = np.empty(5 + 1 + 3 * len(kps), dtype=np.float64)
 
     def inv(p, lo, hi, what):
         if not lo < p < hi:
@@ -202,9 +202,8 @@ def encode(box, keypoints, stride, anchor, cell, objectness=0.9,
     out[1] = inv((box[1] / s - i + 0.5) / 2.0, 0.0, 1.0, "center-y")
     out[2] = inv(np.sqrt(box[2] / anchor[0]) / 2.0, 0.0, 1.0, "width")
     out[3] = inv(np.sqrt(box[3] / anchor[1]) / 2.0, 0.0, 1.0, "height")
-    out[4] = inv(objectness, 0.0, 1.0, "objectness")
-    out[5] = inv(class_score, 0.0, 1.0, "class score")
-    for k in range(num_keypoints):
+    out[4] = out[5] = math.log(0.9 / (1.0 - 0.9))
+    for k in range(len(kps)):
         out[6 + 3 * k] = inv(((kps[k, 0] / s - j + 1.5) / 4.0 + 0.5) / 2.0,
                              0.0, 1.0, f"keypoint {k} x")
         out[7 + 3 * k] = inv(((kps[k, 1] / s - i + 1.5) / 4.0 + 0.5) / 2.0,
@@ -224,14 +223,16 @@ def _corners(box):
 
 def box_iou(a, b):
     """Intersection over union of (cx, cy, w, h) boxes ``a`` (..., 4) and
-    ``b`` (..., 4), pairwise over the broadcast leading axes."""
+    ``b`` (..., 4), pairwise over the broadcast leading axes.  Two boxes
+    whose sides vanish next to their centres have no union; like disjoint
+    boxes, their IoU is 0."""
     ax1, ay1, ax2, ay2 = _corners(np.asarray(a, dtype=np.float64))
     bx1, by1, bx2, by2 = _corners(np.asarray(b, dtype=np.float64))
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    return inter / np.where(union > 0.0, union, 1.0)
 
 
 def nms(dets, iou_threshold):
@@ -269,9 +270,10 @@ def nms(dets, iou_threshold):
 # keypoint similarity and evaluation
 # ---------------------------------------------------------------------------
 
-def _oks_table(pred, gts, sigmas):
+def oks(pred, gts, sigmas=None):
     """Similarity of predicted keypoints (..., K, 3) to each annotated
-    instance of the list ``gts``, as an array (..., G).
+    instance of the list ``gts``, as an array (..., G); one instance's
+    column is ``oks(pred, [gt])[..., 0]``.
 
     The squared distances, scales and exponentials are computed once over
     (..., G, K); each instance's column is then the mean over its visible
@@ -280,6 +282,7 @@ def _oks_table(pred, gts, sigmas):
     of exactly 0, the limit of the exponential.
     """
     pred = np.asarray(pred, dtype=np.float64)
+    sigmas = sigmas or KeypointSigmas()
     visible = [gt.visible for gt in gts]
     for gt, vis in zip(gts, visible):
         if not vis.any():
@@ -296,19 +299,11 @@ def _oks_table(pred, gts, sigmas):
             raise DomainError("OKS scale 2 * area * falloff^2 must be finite and > 0")
         d2 = ((pred[..., None, :, 0] - gt_kps[:, :, 0]) ** 2
               + (pred[..., None, :, 1] - gt_kps[:, :, 1]) ** 2)
-    terms = np.exp(-d2 / scale)
+        terms = np.exp(-d2 / scale)
     out = np.empty(terms.shape[:-1])
     for g, vis in enumerate(visible):
         out[..., g] = terms[..., g, :][..., vis].mean(axis=-1)
     return out
-
-
-def oks(pred_keypoints, gt, sigmas=None):
-    """Similarity of predicted keypoints (..., K, 3) to one annotated
-    instance, over the leading axes of the prediction (a float for one
-    (K, 3) prediction)."""
-    out = _oks_table(pred_keypoints, [gt], sigmas or KeypointSigmas())[..., 0]
-    return float(out) if out.ndim == 0 else out
 
 
 def _greedy_match(table, ignore):
@@ -390,7 +385,7 @@ def _score_images(preds_by_image, gts_by_image, sigmas):
         det_area[i, :len(d)] = d.area
         det_real[i, :len(d)] = True
         if g:
-            table[i, :len(d), :len(g)] = _oks_table(d.keypoints, g, sigmas)
+            table[i, :len(d), :len(g)] = oks(d.keypoints, g, sigmas)
     return scores, det_area, det_real, gt_area, gt_real, table
 
 
@@ -479,7 +474,7 @@ def read_ground_truth(path):
                 OverflowError) as exc:
             raise _malformed(f"annotation {n}", exc) from None
         out.setdefault(image_id, []).append(
-            GroundTruthInstance(keypoints=kps, area=area, bbox=bbox))
+            GroundTruthInstance(keypoints=kps, area=area))
     return out
 
 

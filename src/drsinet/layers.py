@@ -59,9 +59,6 @@ class Layer:
             p.materialize(seed, name)
         return self
 
-    def count_trainable(self):
-        return sum(p.count() for _, p in self.named_parameters() if p.trainable)
-
     def forward(self, x):
         raise NotImplementedError
 
@@ -114,8 +111,7 @@ class Conv2d(Layer):
 
     def __init__(self, c_in, c_out, k, stride=1, bias=True):
         super().__init__()
-        self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride = stride
+        self.k, self.stride = k, stride
         self.weight = Parameter((c_out, c_in, k, k), init=("kaiming", c_in * k * k))
         self.bias = Parameter((c_out,), init=("const", 0.0)) if bias else None
 
@@ -129,7 +125,7 @@ class DepthwiseConv2d(Layer):
 
     def __init__(self, c, k):
         super().__init__()
-        self.c, self.k = c, k
+        self.k = k
         self.weight = Parameter((c, 1, k, k), init=("kaiming", k * k))
         self.bias = Parameter((c,), init=("const", 0.0))
 
@@ -142,7 +138,6 @@ class BatchNorm2d(Layer):
 
     def __init__(self, c):
         super().__init__()
-        self.c = c
         self.gamma = Parameter((c,), init=("const", 1.0))
         self.beta = Parameter((c,), init=("const", 0.0))
         self.running_mean = Parameter((c,), init=("const", 0.0), trainable=False)
@@ -159,7 +154,6 @@ class LayerNorm2d(Layer):
 
     def __init__(self, c):
         super().__init__()
-        self.c = c
         self.gamma = Parameter((c,), init=("const", 1.0))
         self.beta = Parameter((c,), init=("const", 0.0))
 

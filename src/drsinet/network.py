@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 from . import tensor as T
@@ -43,6 +44,12 @@ VARIANT_MULTS = {"s": (0.33, 0.50), "m": (0.67, 0.75), "l": (1.00, 1.00)}
 
 # The most bytes one weight archive entry holds (README, "Weights").
 MAX_PARAM_BYTES = (1 << 32) - 1
+
+# The anchor sides a config may give, in px: side^2 is a normal float, and
+# a decoded box side is at most 4 * side, so the sum of two box areas in
+# box_iou, 2 * (4 * side)^2 at most, stays finite (README, "Model
+# configuration").
+ANCHOR_SIDES = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 32.0))
 
 # The most bottleneck blocks a model may build: drsinet-l builds 45, and a
 # model of 1,000 builds its layer tree in about 0.15 s.
@@ -141,6 +148,9 @@ class ModelConfig:
             raise ConfigError("base_channels must list the five stage widths")
         if len(self.base_depths) != 4:
             raise ConfigError("base_depths must list the four stage depths")
+        for name in ("base_channels", "base_depths"):
+            if min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must all be >= 1, got {list(getattr(self, name))}")
         if self.order_n < 1:
             raise ConfigError(f"order_n must be >= 1, got {self.order_n}")
         # 0 hidden channels would make every inverted bottleneck its skip
@@ -164,8 +174,10 @@ class ModelConfig:
             if len(level) != 3:
                 raise ConfigError("exactly 3 anchors per stride are required")
             for side in (v for pair in level for v in pair):
-                if not (math.isfinite(side) and side > 0):
-                    raise ConfigError(f"anchor sides must be finite and > 0, got {side!r}")
+                if not ANCHOR_SIDES[0] <= side <= ANCHOR_SIDES[1]:
+                    raise ConfigError(
+                        f"anchor sides must be finite and > 0, in [{ANCHOR_SIDES[0]:.3g}, "
+                        f"{ANCHOR_SIDES[1]:.3g}] px, got {side!r}")
         if set(self.sam_kernels) != {"top_down", "bottom_up"}:
             raise ConfigError("sam_kernels needs 'top_down' and 'bottom_up' keys")
         for where, k in self.sam_kernels.items():
@@ -175,13 +187,19 @@ class ModelConfig:
             raise ConfigError("num_keypoints must be >= 1")
         if self.channel_round < 1:
             raise ConfigError("channel_round must be >= 1")
-        # bounded before rounding, which fails on a depth_mult * depth product
-        # past the float range
-        if (max(abs(d) for d in (3, *self.base_depths)) > MAX_BLOCKS / self.depth_mult
+        # both bounded before rounding, which fails on a product past the
+        # float range
+        if (max(3, *self.base_depths) > MAX_BLOCKS / self.depth_mult
                 or self.block_count() > MAX_BLOCKS):
             raise ConfigError(
                 f"depth_mult {self.depth_mult!r} with base_depths {list(self.base_depths)} "
                 f"builds more than the {MAX_BLOCKS} blocks allowed")
+        # a stage this wide cannot hold even its 1x1 conv in an archive entry
+        if max(self.base_channels) > MAX_PARAM_BYTES / self.width_mult:
+            raise ConfigError(
+                f"width_mult {self.width_mult!r} with base_channels {list(self.base_channels)} "
+                f"makes a stage conv larger than the {MAX_PARAM_BYTES} bytes a weight "
+                f"archive entry holds")
 
     # -- scaling --------------------------------------------------------
 
@@ -279,7 +297,7 @@ class Backbone(Layer):
         super().__init__()
         ch = cfg.stage_channels()
         depths = cfg.stage_depths()
-        self.focus = Focus(3, cfg.focus_channels())
+        self.focus = Focus(cfg.focus_channels())
         prev = cfg.focus_channels()
         stages = []
         for c_out, depth in zip(ch[:4], depths):
@@ -287,7 +305,7 @@ class Backbone(Layer):
             prev = c_out
         self.stages = LayerList(stages)
         self.down5 = ConvBnSilu(ch[3], ch[4], 3, stride=2)
-        self.spp = Spp(ch[4], ch[4])
+        self.spp = Spp(ch[4])
         self.c3 = C3(ch[4], ch[4], cfg.fusion_depth())
         self.out_channels = ch[1:]
 
@@ -385,7 +403,6 @@ class Model(Layer):
 
     def __init__(self, cfg):
         super().__init__()
-        self.config = cfg
         self.backbone = Backbone(cfg)
         self.neck = Neck(self.backbone.out_channels, cfg)
         self.heads = LayerList([

@@ -347,7 +347,7 @@ def oracle_ap50(preds_by_image, gts_by_image, sigmas):
                         key=lambda d: -dets.scores[d])[:20]
         gts = [g for g in gts_by_image.get(img, []) if np.any(g.visible)]
         n_gt += len(gts)
-        matrix = np.array([[D.oks(dets.keypoints[d], g, sigmas) for g in gts]
+        matrix = np.array([[D.oks(dets.keypoints[d], [g], sigmas)[0] for g in gts]
                            for d in ranked]).reshape(len(ranked), len(gts))
         best_key, best_flags = None, [0] * len(ranked)
         for r in range(min(len(ranked), len(gts)), -1, -1):
@@ -386,12 +386,12 @@ def check_oks_ap_oracle():
     kps = np.zeros((17, 3))
     kps[0] = (10.0, 10.0, 2)
     gt = D.GroundTruthInstance(keypoints=kps, area=400.0)
-    if abs(D.oks(kps, gt) - 1.0) > 1e-9:
+    if abs(D.oks(kps, [gt])[0] - 1.0) > 1e-9:
         return CheckResult("oks-ap-oracle", False, "exact prediction != 1.0")
     h0 = D.DEFAULT_FALLOFF[0]
     pred = kps.copy()
     pred[0, 0] += math.sqrt(2.0 * 400.0 * h0 * h0)
-    if abs(D.oks(pred, gt) - math.exp(-1.0)) > 1e-9:
+    if abs(D.oks(pred, [gt])[0] - math.exp(-1.0)) > 1e-9:
         return CheckResult("oks-ap-oracle", False, "e^-1 closed form violated")
     rng = np.random.default_rng(2024)
     sigmas = D.KeypointSigmas()

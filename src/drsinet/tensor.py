@@ -99,16 +99,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
 
-def tensor(data, dtype=None):
+def tensor(data):
     """Build a Tensor from array-like data.
 
     Float inputs keep their precision; everything else becomes float32.
     Arrays of rank < 4 gain leading unit dimensions.
     """
     arr = np.asarray(data)
-    if dtype is None:
-        dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float32
-    arr = np.asarray(arr, dtype=dtype)
     while arr.ndim < 4:
         arr = arr[None]
     return Tensor(arr)

@@ -17,29 +17,29 @@ def rand_t(rng, shape):
 
 class TestFocus:
     def test_output_shape_from_rgb(self, rng):
-        focus = Focus(3, 16).finalize(0)
+        focus = Focus(16).finalize(0)
         x = rand_t(rng, (1, 3, 64, 64))
         assert focus(x).shape == (1, 16, 32, 32)
 
     def test_half_resolution_960(self, rng):
-        focus = Focus(3, 8).finalize(0)
+        focus = Focus(8).finalize(0)
         x = rand_t(rng, (1, 3, 960, 960))
         assert focus(x).shape == (1, 8, 480, 480)
 
     def test_zero_input_zero_output(self):
-        focus = Focus(3, 16).finalize(1)
+        focus = Focus(16).finalize(1)
         y = focus(tensor(np.zeros((1, 3, 8, 8), np.float32)))
         assert np.all(y.numpy() == 0.0)
 
     def test_odd_dims_rejected(self, rng):
-        focus = Focus(3, 8).finalize(0)
+        focus = Focus(8).finalize(0)
         with pytest.raises(Exception):
             focus(rand_t(rng, (1, 3, 7, 8)))
 
 
 class TestSpp:
     def test_constant_input_composition(self):
-        spp = Spp(8, 16).finalize(2)
+        spp = Spp(8).finalize(2)
         x = tensor(np.full((1, 8, 6, 6), -2.0, np.float32))
         inner = spp.cv1(x)
         want = spp.cv2(T.concat_channels([inner] * 4))
@@ -57,7 +57,7 @@ class TestSpp:
             assert pooled.numpy().tobytes() == direct.numpy().tobytes(), k
 
     def test_forward_equals_direct_pools(self, rng):
-        spp = Spp(8, 16).finalize(5)
+        spp = Spp(8).finalize(5)
         x = rand_t(rng, (1, 8, 11, 6))
         inner = spp.cv1(x)
         pools = [T.max_pool(inner, k, stride=1, padding=k // 2) for k in (5, 9, 13)]
@@ -65,11 +65,11 @@ class TestSpp:
         assert spp(x).numpy().tobytes() == want.numpy().tobytes()
 
     def test_channel_arithmetic(self, rng):
-        spp = Spp(512, 384).finalize(3)
-        assert spp.cv1.conv.c_out == 256
-        assert spp.cv2.conv.c_in == 1024
+        spp = Spp(512).finalize(3)
+        assert spp.cv1.conv.weight.logical_shape[0] == 256
+        assert spp.cv2.conv.weight.logical_shape[1] == 1024
         x = rand_t(rng, (1, 512, 4, 4))
-        assert spp(x).shape == (1, 384, 4, 4)
+        assert spp(x).shape == (1, 512, 4, 4)
 
 
 class TestC3:
@@ -133,8 +133,8 @@ class TestDrsiBlock:
 class TestC3dr:
     def test_branch_and_output_widths(self, rng):
         mod = C3dr(64, 128, depth=3).finalize(13)
-        assert mod.conv_cross.conv.c_out == 64
-        assert mod.conv_main.conv.c_out == 64
+        assert mod.conv_cross.conv.weight.logical_shape[0] == 64
+        assert mod.conv_main.conv.weight.logical_shape[0] == 64
         x = rand_t(rng, (1, 64, 4, 4))
         assert mod(x).shape == (1, 128, 4, 4)
 
@@ -182,7 +182,7 @@ class TestC3dr:
 
         want = (conv_bn_silu(c_in, ch) + conv_bn_silu(c_in, ch)
                 + depth * drsi_block(ch) + conv_bn_silu(c_out, c_out))
-        assert mod.count_trainable() == want
+        assert sum(p.count() for _, p in mod.named_parameters() if p.trainable) == want
 
 
 class TestCbam:

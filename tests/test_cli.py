@@ -410,10 +410,30 @@ MALFORMED = {
     # finite, but its widest conv weight needs 27.6 GB
     "config width_mult 1e6": (
         _config_case(width_mult=1e6), 1, "a weight archive entry holds"),
+    # bounded before rounding: at 1e308 the stage widths pass the float range
+    "config width_mult 1e308": (
+        _config_case(width_mult=1e308), 1, "width_mult 1e+308 with base_channels"),
+    # a width or depth below 1 was clamped, and all-0 widths failed in Cbam
+    "config base_channels negative": (
+        _config_case(base_channels=[-128, 256, 512, 768, 1024]), 1,
+        "base_channels must all be >= 1"),
+    "config base_channels all 0": (
+        _config_case(base_channels=[0] * 5), 1, "base_channels must all be >= 1"),
+    "config base_depths 0": (
+        _config_case(base_depths=[0, 9, 9, 3]), 1, "base_depths must all be >= 1"),
+    "config base_depths negative": (
+        _config_case(base_depths=[-3, 9, 9, 3]), 1, "base_depths must all be >= 1"),
     "config lambda 0": (_config_case(**{"lambda": 0.0}), 1, "lambda must be finite and > 0"),
     "config anchor side NaN": (
         _config_case(anchors=[[[math.nan, 27.0], [44.0, 40.0], [38.0, 94.0]]] * 4), 1,
         "anchor sides must be finite and > 0"),
+    # a box area of Infinity in the detections JSON; 0/0 in box_iou
+    "config anchor side 1e308": (
+        _config_case(anchors=[[[1e308, 1e308], [44.0, 40.0], [38.0, 94.0]]] * 4), 1,
+        "anchor sides must be finite and > 0, in [1.49e-154, 2.37e+153] px, got 1e+308"),
+    "config anchor side 1e-300": (
+        _config_case(anchors=[[[1e-300, 1e-300], [44.0, 40.0], [38.0, 94.0]]] * 4), 1,
+        "anchor sides must be finite and > 0, in [1.49e-154, 2.37e+153] px, got 1e-300"),
     "config sam kernel even": (
         _config_case(sam_kernels={"top_down": 1, "bottom_up": 2}), 1,
         "sam_kernels bottom_up must be a positive odd integer"),

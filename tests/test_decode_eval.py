@@ -36,6 +36,14 @@ def single_target_head(logits, anchor_idx, cell, grid, num_keypoints=17):
     return head
 
 
+@dataclass
+class BoxedGt(GroundTruthInstance):
+    """A ground truth with the x, y, w, h box it was drawn in, where the
+    tests place its detections."""
+
+    bbox: tuple = (0.0, 0.0, 0.0, 0.0)
+
+
 def make_gt(rng, num_keypoints=17, center=(50.0, 50.0), spread=20.0,
             area=400.0, all_visible=False):
     kps = np.zeros((num_keypoints, 3))
@@ -44,9 +52,9 @@ def make_gt(rng, num_keypoints=17, center=(50.0, 50.0), spread=20.0,
     kps[:, 2] = 2 if all_visible else rng.integers(0, 3, num_keypoints)
     if not np.any(kps[:, 2] > 0):
         kps[0, 2] = 2
-    return GroundTruthInstance(keypoints=kps, area=area,
-                               bbox=(center[0] - spread, center[1] - spread,
-                                     2 * spread, 2 * spread))
+    return BoxedGt(keypoints=kps, area=area,
+                   bbox=(center[0] - spread, center[1] - spread,
+                         2 * spread, 2 * spread))
 
 
 def one(box, score, keypoints):
@@ -510,6 +518,16 @@ class TestNms:
         again = nms(kept, 0.4)
         np.testing.assert_array_equal(again.boxes, kept.boxes)
 
+    def test_boxes_without_extent_overlap_nothing(self):
+        """Sides far below the resolution of their centres give corners of
+        no extent: no union, IoU 0 as in the per-object form, and no
+        'invalid value' warning."""
+        boxes = [(5.0, 5.0, 1e-30, 1e-30), (5.0, 5.0, 1e-40, 2.0), (5.0, 5.0, 2.0, 2.0)]
+        got = box_iou(np.array(boxes)[:, None], np.array(boxes)[None, :])
+        want = [[old_box_iou(p, q) for q in boxes] for p in boxes]
+        np.testing.assert_array_equal(got, want)
+        assert len(nms(boxes_only(boxes, [0.9, 0.8, 0.7]), 0.5)) == 3
+
     def test_box_iou_pairwise_matches_scalar(self, rng):
         a = np.column_stack([rng.integers(0, 12, (30, 2)), rng.integers(1, 8, (30, 2))])
         b = np.column_stack([rng.integers(0, 12, (20, 2)), rng.integers(1, 8, (20, 2))])
@@ -604,7 +622,7 @@ class TestForwardJson:
 class TestOks:
     def test_perfect_prediction(self, rng):
         gt = make_gt(rng)
-        assert abs(oks(gt.keypoints, gt) - 1.0) <= 1e-9
+        assert abs(oks(gt.keypoints, [gt])[..., 0] - 1.0) <= 1e-9
 
     def test_single_keypoint_closed_form(self):
         kps = np.zeros((17, 3))
@@ -614,7 +632,7 @@ class TestOks:
         d = math.sqrt(2.0 * 400.0 * h0 * h0)
         pred = kps.copy()
         pred[0, 0] += d
-        assert abs(oks(pred, gt) - math.exp(-1.0)) <= 1e-9
+        assert abs(oks(pred, [gt])[..., 0] - math.exp(-1.0)) <= 1e-9
 
     def test_displaced_to_infinity(self):
         kps = np.zeros((17, 3))
@@ -622,19 +640,30 @@ class TestOks:
         gt = GroundTruthInstance(keypoints=kps, area=400.0)
         pred = kps.copy()
         pred[0, 0] += 1e6 * math.sqrt(400.0) * DEFAULT_FALLOFF[0]
-        assert oks(pred, gt) < 1e-12
+        assert oks(pred, [gt])[..., 0] < 1e-12
+
+    def test_subnormal_scale(self):
+        """An area of 1e-320 gives a subnormal scale: a distance of 1 px
+        over it overflows to a term of exactly 0, with no warning."""
+        kps = np.zeros((17, 3))
+        kps[0] = (10.0, 10.0, 2)
+        gt = GroundTruthInstance(keypoints=kps, area=1e-320)
+        pred = kps.copy()
+        assert oks(pred, [gt])[..., 0] == 1.0
+        pred[0, 0] += 1.0
+        assert oks(pred, [gt])[..., 0] == 0.0
 
     def test_no_visible_keypoints_rejected(self):
         gt = GroundTruthInstance(keypoints=np.zeros((17, 3)), area=100.0)
         with pytest.raises(DomainError):
-            oks(np.zeros((17, 3)), gt)
+            oks(np.zeros((17, 3)), [gt])
 
     def test_range_and_monotonicity(self, rng):
         gt = make_gt(rng, all_visible=True)
         pred = gt.keypoints.copy()
         last = 1.0
         for step in range(6):
-            v = oks(pred, gt)
+            v = oks(pred, [gt])[..., 0]
             assert 0.0 <= v <= last <= 1.0
             last = v
             pred = pred.copy()
@@ -643,35 +672,35 @@ class TestOks:
     def test_translation_invariance(self, rng):
         gt = make_gt(rng, all_visible=True)
         pred = perturbed_detection(rng, gt, 2.0, 0.9).keypoints[0]
-        base = oks(pred, gt)
+        base = oks(pred, [gt])[..., 0]
         shift = np.array([137.0, -55.0, 0.0])
         gt2 = GroundTruthInstance(keypoints=gt.keypoints + shift, area=gt.area)
-        assert abs(oks(pred + shift, gt2) - base) <= 1e-12
+        assert abs(oks(pred + shift, [gt2])[..., 0] - base) <= 1e-12
 
     def test_broadcast_matches_per_pair(self, rng):
         gt = make_gt(rng)
         preds = gt.keypoints + rng.normal(0, 4.0, (6, 5, 17, 3))
-        got = oks(preds, gt)
+        got = oks(preds, [gt])[..., 0]
         assert got.shape == (6, 5)
         want = [[old_oks(p, gt) for p in row] for row in preds]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert oks(preds[2, 3], gt) == pytest.approx(want[2][3], rel=0, abs=1e-12)
+        assert oks(preds[2, 3], [gt])[..., 0] == pytest.approx(want[2][3], rel=0, abs=1e-12)
 
     def test_keypoint_count_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            oks(np.zeros((4, 16, 3)), make_gt(rng))
+            oks(np.zeros((4, 16, 3)), [make_gt(rng)])
 
     def test_scale_consistency(self, rng):
         gt = make_gt(rng, all_visible=True)
         pred = perturbed_detection(rng, gt, 2.0, 0.9).keypoints[0]
-        base = oks(pred, gt)
+        base = oks(pred, [gt])[..., 0]
         alpha = 3.5
         scaled = gt.keypoints.copy()
         scaled[:, :2] *= alpha
         gt2 = GroundTruthInstance(keypoints=scaled, area=gt.area * alpha ** 2)
         pred2 = pred.copy()
         pred2[:, :2] *= alpha
-        assert abs(oks(pred2, gt2) - base) <= 1e-12
+        assert abs(oks(pred2, [gt2])[..., 0] - base) <= 1e-12
 
 
 def oracle_ap50(preds_by_image, gts_by_image, sigmas):
@@ -736,7 +765,7 @@ class TestEvaluate:
         pred_kps[0, 0] += d
         pred_kps[:, 2] = 0.9
         det = one((50, 50, 20, 20), 0.9, pred_kps)
-        assert 0.50 < oks(pred_kps, gt) < 0.55
+        assert 0.50 < oks(pred_kps, [gt])[..., 0] < 0.55
         metrics = evaluate({0: det}, {0: [gt]})
         assert metrics["AP50"] == 1.0
         assert metrics["AP75"] == 0.0
@@ -819,7 +848,7 @@ def matcher_case(rng):
             area = (g.area if rng.random() < 0.5
                     else (sides[0] if g.area > LARGE_AREA else sides[1]) ** 2)
             instances.insert(int(rng.integers(n_gt)),
-                             GroundTruthInstance(g.keypoints.copy(), area, g.bbox))
+                             BoxedGt(g.keypoints.copy(), area, g.bbox))
         dets = []
         for k in range(n_det):
             target = instances[k % len(instances)] if instances else make_gt(rng)

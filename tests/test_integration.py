@@ -34,9 +34,7 @@ def test_forward_decode_eval_pipeline(tmp_path, rng):
     top = int(np.argmax(kept.scores))
     gt_kps = kept.keypoints[top].copy()
     gt_kps[:, 2] = 2
-    cx, cy, w, h = kept.boxes[top]
-    gt = D.GroundTruthInstance(keypoints=gt_kps, area=kept.area[top],
-                               bbox=(cx - w / 2, cy - h / 2, w, h))
+    gt = D.GroundTruthInstance(keypoints=gt_kps, area=kept.area[top])
     results = tmp_path / "dets.json"
     D.write_results({0: kept}, results)
     reread = D.read_results(results)

@@ -44,7 +44,8 @@ class TestProfile:
     def test_params_match_count_trainable(self):
         for cfg in [mini_config(), ModelConfig(variant="s")]:
             model = Model(cfg)
-            assert profile(cfg, 128).total_params == model.count_trainable()
+            assert profile(cfg, 128).total_params == \
+                sum(p.count() for _, p in model.named_parameters() if p.trainable)
 
     def test_params_resolution_invariant(self):
         cfg = ModelConfig(variant="s")

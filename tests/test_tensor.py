@@ -79,8 +79,8 @@ class TestConv2d:
             x = rng.normal(size=(2, ci, 7, 6))
             w = rng.normal(size=(co, ci, k, k))
             b = rng.normal(size=co)
-            got = T.conv2d(tensor(x, np.float64), tensor(w, np.float64),
-                           tensor(b, np.float64), stride, padding).numpy()
+            got = T.conv2d(tensor(x.astype(np.float64)), tensor(w.astype(np.float64)),
+                           tensor(b.astype(np.float64)), stride, padding).numpy()
             want = naive_conv2d(x, w, b, stride, padding)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -207,8 +207,8 @@ class TestKernelOracleGrid:
                                   (20_000, np.float64, 1e-12), (T._COLUMN_BYTES, np.float32, 2e-5)):
             monkeypatch.setattr(T, "_COLUMN_BYTES", block)
             for n in (0, 1, 2):
-                got = run(tensor(x[:n], dtype), tensor(w, dtype),
-                          None if b is None else tensor(b, dtype), stride, padding)
+                got = run(tensor(x[:n].astype(dtype)), tensor(w.astype(dtype)),
+                          None if b is None else tensor(b.astype(dtype)), stride, padding)
                 assert got.dtype == dtype and got.shape == want[:n].shape
                 np.testing.assert_allclose(got.numpy(), want[:n], rtol=tol, atol=tol)
 
@@ -272,7 +272,7 @@ class TestNorms:
         x = rng.normal(size=(2, 3, 5, 4))
         ga, be = rng.normal(size=3), rng.normal(size=3)
         rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
-        got = T.batch_norm(tensor(x, np.float64), ga, be, rm, rv, eps=1e-5).numpy()
+        got = T.batch_norm(tensor(x.astype(np.float64)), ga, be, rm, rv, eps=1e-5).numpy()
         c = lambda v: v.reshape(1, 3, 1, 1)
         want = (x - c(rm)) / np.sqrt(c(rv) + 1e-5) * c(ga) + c(be)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -323,7 +323,7 @@ class TestActivations:
 
     def test_gelu_matches_erf_form(self, rng):
         v = rng.normal(size=(1, 2, 3, 3))
-        got = T.gelu(tensor(v, np.float64)).numpy()
+        got = T.gelu(tensor(v.astype(np.float64))).numpy()
         want = 0.5 * v * (1.0 + np.vectorize(math.erf)(v / math.sqrt(2.0)))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -333,7 +333,7 @@ class TestActivations:
         v = np.concatenate([rng.normal(scale=4.0, size=60),
                             [0.0, -0.0, 1e-30, -1e-30, 30.0, -30.0,
                              89.0, -89.0, 1e4, -1e4]])
-        x = tensor(v.reshape(1, 7, 10, 1), dtype)
+        x = tensor(v.reshape(1, 7, 10, 1).astype(dtype))
         free = T.activation(x, kind).numpy()
         with Tape():
             taped = T.activation(x, kind).numpy()
@@ -769,18 +769,18 @@ class TestWorkers:
         monkeypatch.setattr(T, "_COLUMN_BYTES", column_bytes)
         monkeypatch.setattr(T, "_BLOCK_BYTES", 64)
         rng = np.random.default_rng(11)
-        b = tensor(rng.normal(size=3), dtype)
+        b = tensor(rng.normal(size=3).astype(dtype))
         ga, be, rm = (rng.normal(size=3).astype(dtype) for _ in range(3))
         rv = rng.uniform(0.5, 2.0, size=3).astype(dtype)
         calls = []
         for n in (0, 1, 2):
-            x = tensor(rng.normal(scale=3.0, size=(n, 3, 9, 7)), dtype)
+            x = tensor(rng.normal(scale=3.0, size=(n, 3, 9, 7)).astype(dtype))
             calls.append(lambda x=x: T.batch_norm(x, ga, be, rm, rv))
             calls += [lambda x=x, kind=kind: T.activation(x, kind)
                       for kind in ("silu", "gelu", "sigmoid")]
             for k, stride, padding in _GRID:
-                wc = tensor(rng.normal(size=(3, 3, k, k)), dtype)
-                wd = tensor(rng.normal(size=(3, 1, k, k)), dtype)
+                wc = tensor(rng.normal(size=(3, 3, k, k)).astype(dtype))
+                wd = tensor(rng.normal(size=(3, 1, k, k)).astype(dtype))
                 calls.append(lambda x=x, w=wc, s=stride, p=padding: T.conv2d(x, w, b, s, p))
                 calls.append(lambda x=x, w=wd, s=stride, p=padding:
                              T.depthwise_conv2d(x, w, b, s, p))
