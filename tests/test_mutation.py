@@ -26,6 +26,7 @@ from drsinet.network import ModelConfig, build_model
 from drsinet.profiler import save_weights
 
 ROOT = Path(__file__).resolve().parents[1]
+TARGETS = ("config", "archive", "image", "results", "ground truth")
 MUTANTS_PER_INPUT = 60
 NUMBERS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320)
 FLOAT32S = (math.nan, math.inf, -math.inf, 3.4e38, -3.4e38, 1e-45)
@@ -153,7 +154,7 @@ def _fault(argv, code, out, err, out_path):
     return None
 
 
-@pytest.mark.parametrize("target", ["config", "archive", "image", "results", "ground truth"])
+@pytest.mark.parametrize("target", TARGETS)
 def test_mutants_fail_closed(target, tmp_path):
     files = _inputs(tmp_path)
     out_path = tmp_path / "out.json"
@@ -162,8 +163,7 @@ def test_mutants_fail_closed(target, tmp_path):
         assert _run(argv)[0] == 0, f"unmutated {argv[0]} fails"
     path = files[target]
     original = path.read_bytes()
-    rng = np.random.default_rng(["config", "archive", "image", "results",
-                                 "ground truth"].index(target))
+    rng = np.random.default_rng(TARGETS.index(target))
     faults = []
     for n in range(MUTANTS_PER_INPUT):
         if path.suffix == ".json":
