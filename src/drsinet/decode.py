@@ -282,6 +282,8 @@ def oks(pred, gts, sigmas=None):
     of exactly 0, the limit of the exponential.
     """
     pred = np.asarray(pred, dtype=np.float64)
+    if not gts:
+        return np.empty(pred.shape[:-2] + (0,))
     sigmas = sigmas or KeypointSigmas()
     visible = [gt.visible for gt in gts]
     for gt, vis in zip(gts, visible):

@@ -686,6 +686,9 @@ class TestOks:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert oks(preds[2, 3], [gt])[..., 0] == pytest.approx(want[2][3], rel=0, abs=1e-12)
 
+    def test_no_instances(self):
+        assert oks(np.zeros((4, 17, 3)), []).shape == (4, 0)
+
     def test_keypoint_count_mismatch(self, rng):
         with pytest.raises(ShapeError):
             oks(np.zeros((4, 16, 3)), [make_gt(rng)])
