@@ -125,7 +125,7 @@ def _run(argv):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-        except BaseException as exc:    # reported as the mutant's failure
+        except Exception as exc:        # reported as the mutant's failure
             code = f"{type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
 
