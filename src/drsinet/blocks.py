@@ -93,9 +93,15 @@ class InvertedBottleneck(Layer):
     def forward(self, x):
         if x.shape[1] != self.c:
             raise ShapeError(f"expected {self.c} channels, got {x.shape[1]}")
+        # one statement per layer, so that each map dies when the next
+        # layer has read it
         y = self.c1(self.bn1(x))
-        y = self.dw(T.gelu(self.bn2(y)))
-        y = self.c2(T.gelu(self.bn3(y)))
+        y = self.bn2(y)
+        y = T.gelu(y)
+        y = self.dw(y)
+        y = self.bn3(y)
+        y = T.gelu(y)
+        y = self.c2(y)
         return T.add(x, y)
 
 

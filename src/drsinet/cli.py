@@ -15,7 +15,7 @@ import numpy as np
 from . import decode as D
 from . import profiler as P
 from .network import ConfigError, Model, ModelConfig, check_input_shape
-from .tensor import DomainError, tensor
+from .tensor import DomainError, Tensor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +120,8 @@ def _cmd_forward(args):
     model = P.load_weights(Model(cfg), args.weights)
     # an overflow shows as a non-finite head, reported below in one line
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        outs = model(tensor(raw.reshape(dims)))
+        # the fresh array is frozen as the input, not copied
+        outs = model(Tensor(raw.reshape(dims), copy=False))
     bad = [stride for head, stride in zip(outs, cfg.strides)
            if not np.isfinite(head.numpy()).all()]
     if bad:

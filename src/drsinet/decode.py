@@ -451,6 +451,17 @@ def _image_id(value):
     return value
 
 
+def _bbox_area(bbox):
+    """w * h of a ground-truth (x, y, w, h) bbox of four finite numbers."""
+    try:
+        x, y, w, h = (float(v) for v in bbox)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"bbox must be 4 finite numbers, got {bbox!r}") from None
+    if not all(map(math.isfinite, (x, y, w, h))):
+        raise ValueError(f"bbox must be 4 finite numbers, got {bbox!r}")
+    return w * h
+
+
 def read_ground_truth(path):
     """Read a COCO keypoint annotation file into per-image instances."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -465,8 +476,10 @@ def read_ground_truth(path):
     for n, ann in enumerate(annotations):
         try:
             kps = np.asarray(ann["keypoints"], dtype=np.float64).reshape(-1, 3)
-            bbox = tuple(float(v) for v in ann.get("bbox", (0, 0, 0, 0)))
-            area = float(ann.get("area", max(bbox[2] * bbox[3], 1.0)))
+            if "area" in ann:
+                area = float(ann["area"])
+            else:
+                area = max(_bbox_area(ann.get("bbox", (0, 0, 0, 0))), 1.0)
             image_id = _image_id(ann["image_id"])
             if not np.isfinite(kps).all():
                 raise ValueError("keypoints must be finite")

@@ -79,15 +79,15 @@ class ResGnConv(Layer):
         sch = self.scheme
         if x.shape[1] != sch.c:
             raise ShapeError(f"expected {sch.c} channels, got {x.shape[1]}")
-        proj = self.phi_in(x)
-        p0, q_bundle = T.split_channels(proj, [sch.c_0, sch.c_q])
-        fq = T.split_channels(self.dw(q_bundle), list(sch.c_k))
-        p = p0
+        # every map dies at its last use: phi_in's output (p_0 and q are
+        # views of it) once order 0 has run, the f_k(q_k) before phi_out
+        p, q = T.split_channels(self.phi_in(x), [sch.c_0, sch.c_q])
+        fq = T.split_channels(self.dw(q), list(sch.c_k))
+        del q
         for k in range(sch.n):
             s = p if k == 0 else self.g_k[k - 1](p)
-            interaction = T.mul(fq[k], s)
-            if self.residual_enabled:
-                p = T.scale(T.add(T.add(s, fq[k]), interaction), 1.0 / self.lam)
-            else:
-                p = interaction
+            p = (T.residual_interaction(s, fq[k], 1.0 / self.lam) if self.residual_enabled
+                 else T.mul(fq[k], s))
+            del s
+        del fq
         return self.phi_out(p)

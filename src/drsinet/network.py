@@ -273,7 +273,8 @@ def check_input_shape(shape):
 
 
 class _Stage(Layer):
-    """Stride-2 entry conv followed by a cross-stage body."""
+    """Stride-2 entry conv followed by a cross-stage body; a container that
+    names their parameters, called part by part by ``Backbone.forward``."""
 
     def __init__(self, c_in, c_out, depth, cfg):
         super().__init__()
@@ -285,9 +286,6 @@ class _Stage(Layer):
                              expansion=cfg.expansion)
         else:
             self.body = C3(c_out, c_out, depth)
-
-    def forward(self, x):
-        return self.body(self.down(x))
 
 
 class Backbone(Layer):
@@ -313,12 +311,14 @@ class Backbone(Layer):
         check_input_shape(x.shape)
         y = self.focus(x)
         feats = []
-        for stage in self.stages:
-            y = stage(y)
-            feats.append(y)
-        p6 = self.c3(self.spp(self.down5(feats[-1])))
-        # P2 stays internal; the levels run fine to coarse from stride 8
-        return [feats[1], feats[2], feats[3], p6]
+        for i, stage in enumerate(self.stages):
+            # a stage's input dies once its entry conv has read it
+            y = stage.down(y)
+            y = stage.body(y)
+            # P2 is not an output; the levels run fine to coarse from stride 8
+            if i:
+                feats.append(y)
+        return feats + [self.c3(self.spp(self.down5(y)))]
 
 
 class _TopDownTransform(Layer):

@@ -156,6 +156,7 @@ def primitive_cases(seed):
         "global_max": T.global_max_pool,
         "channel_mean": T.channel_mean,
         "channel_max": T.channel_max,
+        "residual_interaction": lambda x: T.residual_interaction(x, other, 1.0 / 3.0),
     }
     return rng, cases
 

@@ -25,13 +25,13 @@ import threading
 from contextvars import ContextVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 __all__ = [
     "Tensor", "Parameter", "Tape", "ShapeError", "DomainError", "TapeError",
     "tensor", "zeros", "conv2d", "depthwise_conv2d", "batch_norm",
     "layer_norm", "activation", "silu", "gelu", "sigmoid", "relu",
-    "elementwise", "add", "mul", "broadcast_mul", "scale",
+    "elementwise", "add", "mul", "broadcast_mul", "scale", "residual_interaction",
     "concat_channels", "split_channels", "upsample_nearest2x", "max_pool",
     "space_to_depth_2x2", "global_avg_pool", "global_max_pool",
     "channel_mean", "channel_max", "grad_check", "mac_counter",
@@ -569,11 +569,6 @@ def _out_hw(h, w, k, stride, padding):
     return ho, wo
 
 
-def _windows(xp, k, stride):
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
 def _unpad(xp, padding):
     return xp[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
 
@@ -604,36 +599,75 @@ _COPY_MACS = 16
 _GEMM_CUTS = 4
 
 
-def _grouped_conv(xp, wg, k, stride, ho, wo):
-    """Cross-correlation of padded ``xp`` (n, g*ci, hp, wp) with grouped
-    weight ``wg`` (g, co, ci*k*k), as (n, g*co, ho, wo).  Per block of
-    groups, or of output rows of one group where a whole group does not
-    fit: one copy of the (ci*k*k, rows*wo) window columns of each group
-    into a buffer of at most ``_COLUMN_BYTES`` (one row if a row alone is
-    larger), then one batched GEMM into the block's output.  The blocks are
-    split across workers, each with a buffer of its own."""
+def _grouped_conv(x, wg, k, stride, padding, ho, wo):
+    """Cross-correlation of ``x`` (n, g*ci, h, w), zero-padded by
+    ``padding``, with grouped weight ``wg`` (g, co, ci*k*k), as (n, g*co,
+    ho, wo).  Per block of groups, or of output rows of one group where a
+    whole group does not fit: one copy of the (ci*k*k, rows*wo) window
+    columns of each group into a buffer of at most ``_COLUMN_BYTES`` (one
+    row if a row alone is larger), then one batched GEMM into the block's
+    output.  The windows are read from a zero-bordered tile of the padded
+    rows: those of a block's whole groups where they fit in as many bytes
+    as the buffer, else those of the block alone, so no padded copy of the
+    whole input is made.  The blocks are split across workers, each with a
+    tile and a buffer of its own."""
     g, co, kk = wg.shape
-    n = xp.shape[0]
-    wg = wg.astype(np.result_type(xp, wg), copy=False)
-    win = _windows(xp, k, stride)                             # (n, g*ci, ho, wo, k, k)
-    win = win.reshape(n, g, kk // (k * k), ho, wo, k, k).transpose(0, 1, 2, 5, 6, 3, 4)
+    n, _, h, w = x.shape
+    ci = kk // (k * k)
+    wg = wg.astype(np.result_type(x, wg), copy=False)
     out = np.empty((n, g, co, ho * wo), dtype=wg.dtype)
     row_bytes = max(1, n * kk * wo * wg.itemsize)
     rows = min(ho, max(1, _COLUMN_BYTES // row_bytes))
     groups = max(1, _COLUMN_BYTES // (rows * row_bytes))
     blocks = [(g0, min(groups, g - g0), i0, min(rows, ho - i0))
               for g0 in range(0, g, groups) for i0 in range(0, ho, rows)]
+    gmax = min(groups, g)
+    col_size = n * gmax * kk * rows * wo
+    # the tile's output rows, its padded rows and columns, and the columns
+    # [cl, cr) of these that hold input
+    tw = stride * (wo - 1) + k
+    whole = n * gmax * ci * (stride * (ho - 1) + k) * tw * wg.itemsize <= _COLUMN_BYTES
+    span = ho if whole else rows
+    th = stride * (span - 1) + k
+    cl, cr = min(padding, tw), min(padding + w, tw)
+
+    views = {}      # id of a worker's buffer -> its tile and the tile's windows
 
     def run(a, b, buf):
+        if id(buf) not in views:
+            # the zero side columns are written once per worker
+            tile = buf[col_size:].reshape(n, gmax * ci, th, tw)
+            tile[..., :cl] = 0
+            tile[..., cr:] = 0
+            # the (ci, k, k, span, wo) window columns of each group, as a view
+            sn, sc, sh, sw = tile.strides
+            views[id(buf)] = tile, as_strided(
+                tile, (n, gmax, ci, k, k, span, wo),
+                (sn, ci * sc, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+        tile, win = views[id(buf)]
+        held = zeroed = None
         for g0, gb, i0, r in blocks[a:b]:
-            cols = buf[:n * gb * kk * r * wo].reshape((n, gb) + win.shape[2:5] + (r, wo))
-            np.copyto(cols, win[:, g0:g0 + gb, ..., i0:i0 + r, :])
+            j0 = i0 - i0 % span
+            if (g0, j0) != held:
+                # tile rows [ra, rb) of the hb the span reads hold input
+                # rows [top + ra, top + rb); the rest stay zero between
+                # fills of one layout
+                held, hb = (g0, j0), stride * (min(span, ho - j0) - 1) + k
+                top, c0 = stride * j0 - padding, g0 * ci
+                ra, rb = min(max(-top, 0), hb), min(max(h - top, 0), hb)
+                if (ra, rb, hb) != zeroed:
+                    zeroed = (ra, rb, hb)
+                    tile[:, :gb * ci, :ra] = 0
+                    tile[:, :gb * ci, rb:hb] = 0
+                tile[:, :gb * ci, ra:rb, cl:cr] = x[:, c0:c0 + gb * ci, top + ra:top + rb, :cr - cl]
+            cols = buf[:n * gb * kk * r * wo].reshape(n, gb, ci, k, k, r, wo)
+            np.copyto(cols, win[:, :gb, ..., i0 - j0:i0 - j0 + r, :])
             np.matmul(wg[g0:g0 + gb], cols.reshape(n, gb, kk, r * wo),
                       out=out[:, g0:g0 + gb, :, i0 * wo:(i0 + r) * wo])
 
-    block_work = n * min(groups, g) * kk * rows * wo * (co + _COPY_MACS)
+    block_work = col_size * (co + _COPY_MACS)
     _parallel_for(len(blocks), run, -(-_GEMM_GRAIN // max(1, block_work)),
-                  scratch=(n * min(groups, g) * kk * rows * wo, wg.dtype))
+                  scratch=(col_size + n * gmax * ci * th * tw, wg.dtype))
     return out.reshape(n, g * co, ho, wo)
 
 
@@ -674,10 +708,11 @@ def _conv(name, x, weight, bias, stride, padding, groups):
     (groups*co, ci, k, k).
 
     One group, 1x1, stride 1, unpadded is one GEMM over the flattened
-    image; any other is ``_grouped_conv``.  The backward is the forward's
-    tap GEMMs transposed: per tap (u, v), ``dw[..., u, v]`` is one batched
-    GEMM of the output gradient with the tap's strided input rows, and the
-    tap's weights map the gradient back into the padded ``dx``.
+    image; any other is ``_grouped_conv``.  The backward pads the input
+    when it runs and is the forward's tap GEMMs transposed: per tap (u, v),
+    ``dw[..., u, v]`` is one batched GEMM of the output gradient with the
+    tap's strided input rows, and the tap's weights map the gradient back
+    into the padded ``dx``.
     """
     c_out, ci, k, k2 = weight.shape
     if k != k2:
@@ -687,17 +722,17 @@ def _conv(name, x, weight, bias, stride, padding, groups):
     if c != ci * groups:
         raise ShapeError(f"{name} expects {ci * groups} input channels, got {c}")
     ho, wo = _out_hw(h, w, k, stride, padding)
-    xp = _pad_nchw(x.data, padding)
     co = c_out // max(groups, 1)         # a depthwise conv of 0 channels has 0 groups
     wg = weight.data.reshape(groups, co, ci * k * k)
     if groups == 1 and k == 1 and stride == 1 and padding == 0:
-        out = _gemm_1x1(wg[0], xp.reshape(n, ci, h * w)).reshape(n, c_out, h, w)
+        out = _gemm_1x1(wg[0], x.data.reshape(n, ci, h * w)).reshape(n, c_out, h, w)
     else:
-        out = _grouped_conv(xp, wg, k, stride, ho, wo)
+        out = _grouped_conv(x.data, wg, k, stride, padding, ho, wo)
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
+        xp = _pad_nchw(x.data, padding)
         gg = g.reshape(n, groups, co, ho * wo)
         # per tap, the (ci, co) weight of each group, contiguous for the GEMM
         wt = wg.reshape(groups, co, ci, k * k).transpose(3, 0, 2, 1).copy()
@@ -970,6 +1005,38 @@ def scale(x, factor):
     return _emit(x.data * f, (x,), lambda g: (g * f,), macs=1)
 
 
+def residual_interaction(s, f, factor):
+    """``((s + f) + f * s) * factor``, one residual interaction order, as
+    one output: the ops and rounding of ``scale(add(add(s, f), mul(f, s)),
+    factor)`` without its three intermediate maps.  The four ops run per
+    block of ``_BLOCK_BYTES`` with the product in a block of scratch, and
+    the blocks are split across workers.  The backward is the
+    composition's, and each element is charged its 4 MACs."""
+    if s.shape != f.shape:
+        raise ShapeError(f"interaction shapes differ: {s.shape} vs {f.shape}")
+    c = float(factor)
+    out = np.empty(s.shape, np.result_type(s.data, f.data))
+    a, b, dst = s.data.reshape(-1), f.data.reshape(-1), out.reshape(-1)
+    step = max(1, _BLOCK_BYTES // out.itemsize)
+
+    def run(first, last, scratch):
+        for i in range(first * step, min(last * step, dst.size), step):
+            q = dst[i:i + step]
+            t = np.multiply(b[i:i + step], a[i:i + step], out=scratch[:q.size])
+            np.add(a[i:i + step], b[i:i + step], out=q)
+            q += t
+            np.multiply(q, c, out=q)
+
+    _parallel_for(-(-dst.size // step), run, -(-_ELEMENT_GRAIN // step),
+                  scratch=(min(step, dst.size), out.dtype))
+
+    def backward(g):
+        g1 = g * c
+        return g1 + g1 * f.data, g1 + g1 * s.data
+
+    return _emit(out, (s, f), backward, macs=4)
+
+
 # ---------------------------------------------------------------------------
 # reshape family
 # ---------------------------------------------------------------------------
@@ -1041,7 +1108,8 @@ def max_pool(x, k, stride=1, padding=0):
         np.maximum(out, rows[..., v:v + ws:stride], out=out)
 
     def backward(g):
-        idx = _windows(xp, k, stride).reshape(n, c, ho, wo, k * k).argmax(axis=4)
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        idx = win.reshape(n, c, ho, wo, k * k).argmax(axis=4)
         dxp = np.zeros(xp.shape, dtype=g.dtype)
         u, v = idx // k, idx % k
         ii, jj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")

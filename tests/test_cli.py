@@ -108,6 +108,23 @@ class TestForwardCommand:
         assert all(d["image_id"] == 9 for d in dets)
         assert all(len(d["keypoints"]) == 51 for d in dets)
 
+    def test_frame_frozen_without_a_copy(self, mini_cfg_file, tmp_path, rng, monkeypatch):
+        """The model reads the array the image file was read into, reshaped
+        and frozen, so the forward holds one copy of the frame."""
+        weights = tmp_path / "w.drsi"
+        save_weights(build_model(ModelConfig.from_file(mini_cfg_file), seed=0), weights)
+        image = rng.uniform(0, 1, (1, 3, 64, 64)).astype("<f4")
+        image.tofile(tmp_path / "img.f32")
+        seen = []
+        forward = Model.forward
+        monkeypatch.setattr(Model, "forward", lambda self, x: seen.append(x) or forward(self, x))
+        assert main(["forward", "--config", str(mini_cfg_file), "--weights", str(weights),
+                     "--image", str(tmp_path / "img.f32"), "--shape", "1,3,64,64",
+                     "--out", str(tmp_path / "dets.json")]) == 0
+        frame = seen[0].numpy()
+        assert frame.base is not None and frame.base.shape == (image.size,)
+        assert not frame.flags.writeable and frame.tobytes() == image.tobytes()
+
     def test_no_detection_writes_empty_array(self, mini_cfg_file, tmp_path, rng):
         cfg = ModelConfig.from_file(mini_cfg_file)
         weights = tmp_path / "w.drsi"
@@ -207,6 +224,22 @@ class TestEvalCommand:
         assert main(["eval", "--gt", paths["gt"], "--pred", paths["pred"],
                      "--sigmas", paths["sig"]]) == 0
         assert "AP 1.0000" in capsys.readouterr().out
+
+    def test_bbox_unread_when_area_given(self, tmp_path, capsys):
+        """An annotation with an area needs no bbox, so a two-value one is
+        not read: the scores equal those of the same annotation without it."""
+        short_box = json.dumps({"annotations": [{"image_id": 1, "keypoints": _GT_KPS,
+                                                 "area": 400.0, "bbox": [1.0, 2.0]}]})
+        (tmp_path / "pred.json").write_text(_GOOD_PRED)
+        outs = []
+        for gt in (short_box, _GOOD_GT):
+            (tmp_path / "gt.json").write_text(gt)
+            assert main(["eval", "--gt", str(tmp_path / "gt.json"),
+                         "--pred", str(tmp_path / "pred.json")]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        assert outs[0] == outs[1] and "AP 1.0000" in outs[0]
 
     @pytest.mark.parametrize("entry, ap", [
         # the distance overflows: the OKS is its limit, 0
@@ -335,6 +368,15 @@ MALFORMED = {
     "results not JSON": (_eval_case("[{broken"), 1, "error: "),
     "ground truth area 0": (
         _eval_case(_GOOD_PRED, _GOOD_GT.replace("400.0", "0")), 1, "area must be > 0"),
+    # without an area the bbox gives it, so it must be 4 finite numbers
+    "ground truth bbox of 2 values without area": (
+        _eval_case(_GOOD_PRED, json.dumps({"annotations": [
+            {"image_id": 1, "keypoints": _GT_KPS, "bbox": [1.0, 2.0]}]})), 1,
+        "annotation 0: bbox must be 4 finite numbers, got [1.0, 2.0]"),
+    "ground truth bbox NaN without area": (
+        _eval_case(_GOOD_PRED, json.dumps({"annotations": [
+            {"image_id": 1, "keypoints": _GT_KPS, "bbox": [0.0, 0.0, math.nan, 20.0]}]})), 1,
+        "annotation 0: bbox must be 4 finite numbers, got [0.0, 0.0, nan, 20.0]"),
     "ground truth without keypoints": (
         _eval_case(_GOOD_PRED, '{"annotations": [{"image_id": 1, "area": 4.0}]}'), 1,
         "missing 'keypoints'"),

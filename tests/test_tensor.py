@@ -227,6 +227,89 @@ class TestKernelOracleGrid:
                     stride, padding, monkeypatch)
 
 
+def padded_grouped_conv(x, w, b, stride, padding, groups):
+    """The grouped conv as ``_grouped_conv`` computed it before its tiles:
+    the whole input zero-padded first, then per block of its blocks (same
+    column bound) one copy of the window columns and one batched GEMM."""
+    n, _, h, wd = x.shape
+    c_out, ci, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    co, kk = c_out // groups, ci * k * k
+    wg = w.reshape(groups, co, kk)
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = win.reshape(n, groups, ci, ho, wo, k, k).transpose(0, 1, 2, 5, 6, 3, 4)
+    out = np.empty((n, groups, co, ho * wo), x.dtype)
+    row_bytes = max(1, n * kk * wo * x.itemsize)
+    rows = min(ho, max(1, T._COLUMN_BYTES // row_bytes))
+    per = max(1, T._COLUMN_BYTES // (rows * row_bytes))
+    for g0 in range(0, groups, per):
+        for i0 in range(0, ho, rows):
+            gb, r = min(per, groups - g0), min(rows, ho - i0)
+            cols = np.ascontiguousarray(win[:, g0:g0 + gb, ..., i0:i0 + r, :])
+            np.matmul(wg[g0:g0 + gb], cols.reshape(n, gb, kk, r * wo),
+                      out=out[:, g0:g0 + gb, :, i0 * wo:(i0 + r) * wo])
+    return out.reshape(n, c_out, ho, wo) + b.reshape(1, c_out, 1, 1)
+
+
+# kernel 1-7, stride 1-3, every padding from 0 to k
+_PAD_GRID = [(k, s, p) for k in range(1, 8) for s in (1, 2, 3) for p in range(k + 1)]
+
+
+class TestTiledConv:
+    """Every conv but the one-GEMM 1x1 reads its windows from zero-bordered
+    tiles of the input rows, never from a padded copy of the whole input:
+    the bytes equal the pad-then-window reference at 1, 2 and 3 workers,
+    with whole-group tiles (the default column bound), one-row tiles (1
+    byte) and partial blocks (20,000 bytes), and the taped gradients equal
+    those of the unpadded conv of the padded input."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_forward_equals_padded_reference(self, k, depthwise, dtype, monkeypatch):
+        rng = np.random.default_rng(k)
+        op, groups = (T.depthwise_conv2d, 3) if depthwise else (T.conv2d, 1)
+        x = rng.normal(size=(2, 3, 9, 7)).astype(dtype)
+        w = rng.normal(size=(3, 1, k, k) if depthwise else (2, 3, k, k)).astype(dtype)
+        b = rng.normal(size=w.shape[0]).astype(dtype)
+        default = T._COLUMN_BYTES
+        for _, stride, padding in [c for c in _PAD_GRID if c[0] == k]:
+            if (k, stride, padding, groups) == (1, 1, 0, 1):
+                continue                    # the one-GEMM path, which pads nothing
+            for column_bytes in (default, 1, 20_000):
+                monkeypatch.setattr(T, "_COLUMN_BYTES", column_bytes)
+                for n in (0, 1, 2):
+                    want = padded_grouped_conv(x[:n], w, b, stride, padding, groups)
+                    for workers in (1, 2, 3):
+                        got = _at_workers(monkeypatch, workers, lambda: op(
+                            tensor(x[:n]), tensor(w), tensor(b), stride, padding).numpy())
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (stride, padding, column_bytes,
+                                                                 n, workers)
+
+    @pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
+    def test_backward_equals_padded_input_gradient(self, depthwise):
+        rng = np.random.default_rng(7)
+        op = T.depthwise_conv2d if depthwise else T.conv2d
+        for k, stride, padding in _PAD_GRID:
+            for n in (0, 1, 2):
+                x = tensor(rng.normal(size=(n, 3, 9, 7)))
+                xp = tensor(np.pad(x.numpy(), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)))
+                w = tensor(rng.normal(size=(3, 1, k, k) if depthwise else (2, 3, k, k)))
+                b = tensor(rng.normal(size=w.shape[0]))
+                grads = []
+                for inp, pad in ((x, padding), (xp, 0)):
+                    with Tape() as tape:
+                        y = op(inp, w, b, stride, pad)
+                    tape.backward(tensor(np.linspace(-1.0, 1.0, y.size).reshape(y.shape)))
+                    grads.append([tape.grad_for(v).numpy() for v in (inp, w, b)])
+                (dx, dw, db), (dxp, dwp, dbp) = grads
+                inner = dxp[:, :, padding:padding + 9, padding:padding + 7]
+                assert dx.tobytes() == inner.tobytes(), (k, stride, padding, n)
+                assert dw.tobytes() == dwp.tobytes() and db.tobytes() == dbp.tobytes()
+
+
 _CONV3X3 = (T.conv2d, ((1, 64, 64, 64), (64, 64, 3, 3)), 3)
 _DEPTHWISE7X7 = (T.depthwise_conv2d, ((1, 96, 64, 64), (96, 1, 7, 7)), 7)
 
@@ -235,15 +318,16 @@ _DEPTHWISE7X7 = (T.depthwise_conv2d, ((1, 96, 64, 64), (96, 1, 7, 7)), 7)
     _CONV3X3 + (1,), _DEPTHWISE7X7 + (1,), _CONV3X3 + (2,), _DEPTHWISE7X7 + (2,),
 ], ids=["conv3x3", "depthwise7x7", "conv3x3-2workers", "depthwise7x7-2workers"])
 def test_forward_transient_is_bounded(op, shapes, k, workers, rng, monkeypatch):
-    """The forward never holds the whole image's window columns: its peak
-    allocation is the output, the padded input and one column block per
-    worker (both shapes split at two)."""
+    """The forward never holds the whole image's window columns, nor a
+    padded copy of the whole input: its peak allocation is the output and,
+    per worker, one column block and one tile of the padded input rows
+    (here at most a quarter of a column block; both shapes split at
+    two)."""
     monkeypatch.setattr(T, "_worker_count", lambda: workers)
     x, w = (tensor(rng.normal(size=s).astype(np.float32)) for s in shapes)
     n, c, h, wd = shapes[0]
     assert c * k * k * h * wd * 4 >= 8 * T._COLUMN_BYTES
     out_bytes = shapes[1][0] * h * wd * 4
-    padded_bytes = c * (h + 2 * (k // 2)) * (wd + 2 * (k // 2)) * 4
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -252,7 +336,7 @@ def test_forward_transient_is_bounded(op, shapes, k, workers, rng, monkeypatch):
     finally:
         tracemalloc.stop()
     assert y.shape == (n, shapes[1][0], h, wd)
-    assert peak <= out_bytes + padded_bytes + workers * T._COLUMN_BYTES + (64 << 10)
+    assert peak <= out_bytes + workers * 5 * T._COLUMN_BYTES // 4 + (64 << 10)
 
 
 class TestNorms:
@@ -429,6 +513,61 @@ def _window_argmax_max_pool(v, k, stride, padding):
     win = win.reshape(win.shape[:4] + (k * k,))
     idx = win.argmax(axis=4)
     return np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+
+
+def composed_interaction(s, f, factor):
+    return T.scale(T.add(T.add(s, f), T.mul(f, s)), factor)
+
+
+# batch 0, one element, odd sizes, and more than one float32 and float64 block
+_INTERACTION_SHAPES = [(0, 3, 5, 7), (1, 1, 1, 1), (2, 5, 9, 11), (1, 3, 131, 173)]
+
+
+class TestResidualInteraction:
+    """``residual_interaction`` is ``scale(add(add(s, f), mul(f, s)),
+    factor)`` as one primitive: the same bytes, gradients and MACs."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_composition(self, dtype, monkeypatch):
+        rng = np.random.default_rng(5)
+        default = T._BLOCK_BYTES
+        for shape in _INTERACTION_SHAPES:
+            s, f = (tensor(rng.normal(scale=3.0, size=shape).astype(dtype)) for _ in range(2))
+            for factor in (1.0 / 3.0, -1.7, 1.0):
+                want = composed_interaction(s, f, factor).numpy()
+                for block_bytes, workers in ((default, 1), (64, 1), (64, 2), (64, 3)):
+                    monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+                    got = _at_workers(monkeypatch, workers,
+                                      lambda: T.residual_interaction(s, f, factor).numpy())
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (shape, factor, block_bytes, workers)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tape_gradients_equal_composition(self, dtype):
+        rng = np.random.default_rng(6)
+        for shape in _INTERACTION_SHAPES[:3]:
+            s, f = (tensor(rng.normal(size=shape).astype(dtype)) for _ in range(2))
+            g = tensor(rng.normal(size=shape).astype(dtype))
+            grads = []
+            for op in (T.residual_interaction, composed_interaction):
+                with Tape() as tape:
+                    op(s, f, 1.0 / 3.0)
+                tape.backward(g)
+                grads.append([tape.grad_for(v).numpy().tobytes() for v in (s, f)])
+            assert grads[0] == grads[1], shape
+
+    def test_macs_equal_composition(self, rng):
+        s, f = rand_t(rng, (1, 4, 5, 6)), rand_t(rng, (1, 4, 5, 6))
+        counts = []
+        for op in (T.residual_interaction, composed_interaction):
+            with T.mac_counter() as counter:
+                op(s, f, 0.5)
+            counts.append(counter.macs)
+        assert counts == [4 * 4 * 5 * 6] * 2
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(ShapeError):
+            T.residual_interaction(rand_t(rng, (1, 2, 3, 3)), rand_t(rng, (1, 3, 3, 3)), 0.5)
 
 
 class TestReshapeFamily:
