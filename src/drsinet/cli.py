@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -108,11 +109,15 @@ def _cmd_forward(args):
     if dims[0] != 1:
         raise ConfigError(f"forward takes one image: --shape batch must be 1, got {dims[0]}")
     check_input_shape(dims)
-    raw = np.fromfile(args.image, dtype="<f4")
-    expected = int(np.prod(dims))
-    if raw.size != expected:
-        raise ConfigError(
-            f"image file holds {raw.size} floats, shape needs {expected}")
+    # an exact integer product, compared with the file's size before any of
+    # it is read, so a huge shape cannot wrap and a huge file is not loaded
+    expected = math.prod(dims)
+    with open(args.image, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != 4 * expected:
+            raise ConfigError(f"image file holds {size} bytes, shape needs {expected} "
+                              f"floats ({4 * expected} bytes)")
+        raw = np.fromfile(fh, dtype="<f4", count=expected)
     if not np.isfinite(raw).all():
         raise DomainError(f"image file holds {np.count_nonzero(~np.isfinite(raw))} "
                           "non-finite values (NaN or inf)")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from . import tensor as T
 from .blocks import C3, C3dr, Cbam, Focus, Spp
@@ -41,6 +41,13 @@ DEFAULT_ANCHORS = (
 )
 
 VARIANT_MULTS = {"s": (0.33, 0.50), "m": (0.67, 0.75), "l": (1.00, 1.00)}
+
+# The five stage widths and four cross-stage depths the multipliers scale;
+# scaled widths round up to a multiple of CHANNEL_ROUND (README, "Model
+# configuration").
+BASE_CHANNELS = (128, 256, 512, 768, 1024)
+BASE_DEPTHS = (3, 9, 9, 3)
+CHANNEL_ROUND = 8
 
 # The most bytes one weight archive entry holds (README, "Weights").
 MAX_PARAM_BYTES = (1 << 32) - 1
@@ -83,15 +90,11 @@ _MULT = (lambda v: v is None or _is_number(v), "a number")
 
 # field -> (type test, what the message says the value must be)
 _FIELD_TYPES = {
-    "variant": _STR, "width_mult": _MULT, "depth_mult": _MULT,
-    "base_channels": _INTS, "base_depths": _INTS, "order_n": _INT,
+    "variant": _STR, "width_mult": _MULT, "depth_mult": _MULT, "order_n": _INT,
     "lambda_": (_is_number, "a number"), "neck": _STR, "strides": _INTS,
     "anchors": (lambda v: _is_list(v, lambda level: _is_list(level, _is_anchor_pair)),
                 "a list of levels of [w, h] pairs"),
-    "expansion": _INT,
-    "sam_kernels": (lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
-                    "an object of integers"),
-    "num_keypoints": _INT, "channel_round": _INT, "cbam_reduction": _INT,
+    "num_keypoints": _INT, "cbam_reduction": _INT,
     "residual_interactions": (lambda v: isinstance(v, bool), "true or false"),
     "backbone_block": _STR, "note": _STR,
 }
@@ -104,17 +107,12 @@ class ModelConfig:
     variant: str = "s"
     width_mult: float = None
     depth_mult: float = None
-    base_channels: tuple = (128, 256, 512, 768, 1024)
-    base_depths: tuple = (3, 9, 9, 3)
     order_n: int = 2
     lambda_: float = 3.0
     neck: str = "asi_pan"
     strides: tuple = (8, 16, 32, 64)
     anchors: tuple = DEFAULT_ANCHORS
-    expansion: int = 4
-    sam_kernels: dict = field(default_factory=lambda: {"top_down": 1, "bottom_up": 3})
     num_keypoints: int = 17
-    channel_round: int = 8
     cbam_reduction: int = 16
     residual_interactions: bool = True
     backbone_block: str = "c3dr"
@@ -136,26 +134,14 @@ class ModelConfig:
                 raise ConfigError("custom variant requires width_mult and depth_mult")
         else:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        self.base_channels = tuple(self.base_channels)
-        self.base_depths = tuple(self.base_depths)
         self.strides = tuple(self.strides)
         self.anchors = tuple(tuple((float(w), float(h)) for w, h in level)
                              for level in self.anchors)
         self.validate()
 
     def validate(self):
-        if len(self.base_channels) != 5:
-            raise ConfigError("base_channels must list the five stage widths")
-        if len(self.base_depths) != 4:
-            raise ConfigError("base_depths must list the four stage depths")
-        for name in ("base_channels", "base_depths"):
-            if min(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must all be >= 1, got {list(getattr(self, name))}")
         if self.order_n < 1:
             raise ConfigError(f"order_n must be >= 1, got {self.order_n}")
-        # 0 hidden channels would make every inverted bottleneck its skip
-        if self.expansion < 1:
-            raise ConfigError(f"expansion must be >= 1, got {self.expansion}")
         # NaN fails every comparison, so the test is written to fail closed
         for name in ("width_mult", "depth_mult", "lambda_", "cbam_reduction"):
             value = getattr(self, name)
@@ -178,45 +164,37 @@ class ModelConfig:
                     raise ConfigError(
                         f"anchor sides must be finite and > 0, in [{ANCHOR_SIDES[0]:.3g}, "
                         f"{ANCHOR_SIDES[1]:.3g}] px, got {side!r}")
-        if set(self.sam_kernels) != {"top_down", "bottom_up"}:
-            raise ConfigError("sam_kernels needs 'top_down' and 'bottom_up' keys")
-        for where, k in self.sam_kernels.items():
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"sam_kernels {where} must be a positive odd integer, got {k}")
         if self.num_keypoints < 1:
             raise ConfigError("num_keypoints must be >= 1")
-        if self.channel_round < 1:
-            raise ConfigError("channel_round must be >= 1")
         # both bounded before rounding, which fails on a product past the
         # float range
-        if (max(3, *self.base_depths) > MAX_BLOCKS / self.depth_mult
+        if (max(BASE_DEPTHS) > MAX_BLOCKS / self.depth_mult
                 or self.block_count() > MAX_BLOCKS):
             raise ConfigError(
-                f"depth_mult {self.depth_mult!r} with base_depths {list(self.base_depths)} "
-                f"builds more than the {MAX_BLOCKS} blocks allowed")
+                f"depth_mult {self.depth_mult!r} builds more than the {MAX_BLOCKS} "
+                f"blocks allowed")
         # a stage this wide cannot hold even its 1x1 conv in an archive entry
-        if max(self.base_channels) > MAX_PARAM_BYTES / self.width_mult:
+        if max(BASE_CHANNELS) > MAX_PARAM_BYTES / self.width_mult:
             raise ConfigError(
-                f"width_mult {self.width_mult!r} with base_channels {list(self.base_channels)} "
-                f"makes a stage conv larger than the {MAX_PARAM_BYTES} bytes a weight "
-                f"archive entry holds")
+                f"width_mult {self.width_mult!r} makes a stage conv larger than the "
+                f"{MAX_PARAM_BYTES} bytes a weight archive entry holds")
 
     # -- scaling --------------------------------------------------------
 
     def _round_channels(self, c):
-        unit = self.channel_round * (1 << (self.order_n - 1))
-        unit = unit // math.gcd(self.channel_round, 1 << (self.order_n - 1))
+        unit = CHANNEL_ROUND * (1 << (self.order_n - 1))
+        unit = unit // math.gcd(CHANNEL_ROUND, 1 << (self.order_n - 1))
         return max(unit, int(math.ceil(c * self.width_mult / unit)) * unit)
 
     def stage_channels(self):
         """The five stage output widths after width scaling and rounding."""
-        return [self._round_channels(c) for c in self.base_channels]
+        return [self._round_channels(c) for c in BASE_CHANNELS]
 
     def focus_channels(self):
-        return self._round_channels(self.base_channels[0] // 2)
+        return self._round_channels(BASE_CHANNELS[0] // 2)
 
     def stage_depths(self):
-        return [max(1, round(self.depth_mult * d)) for d in self.base_depths]
+        return [max(1, round(self.depth_mult * d)) for d in BASE_DEPTHS]
 
     def fusion_depth(self):
         """Depth of the C3 fusion blocks (neck and final backbone stage)."""
@@ -282,8 +260,7 @@ class _Stage(Layer):
         if cfg.backbone_block == "c3dr":
             self.body = C3dr(c_out, c_out, depth, order=cfg.order_n,
                              lam=cfg.lambda_,
-                             residual_enabled=cfg.residual_interactions,
-                             expansion=cfg.expansion)
+                             residual_enabled=cfg.residual_interactions)
         else:
             self.body = C3(c_out, c_out, depth)
 
@@ -328,8 +305,7 @@ class _TopDownTransform(Layer):
         super().__init__()
         self.reduce = ConvBnSilu(c_in, c_out, 1)
         if cfg.neck == "cbam_pan":
-            self.attn = Cbam(c_out, reduction=cfg.cbam_reduction,
-                             sam_kernel=cfg.sam_kernels["top_down"])
+            self.attn = Cbam(c_out, reduction=cfg.cbam_reduction, sam_kernel=1)
         elif cfg.neck == "asi_pan":
             self.attn = ResGnConv(c_out, n=cfg.order_n, lam=cfg.lambda_,
                                   residual_enabled=cfg.residual_interactions)
@@ -348,8 +324,7 @@ class _BottomUpTransform(Layer):
         super().__init__()
         self.down = ConvBnSilu(c, c, 3, stride=2)
         if cfg.neck in ("cbam_pan", "asi_pan"):
-            self.attn = Cbam(c, reduction=cfg.cbam_reduction,
-                             sam_kernel=cfg.sam_kernels["bottom_up"])
+            self.attn = Cbam(c, reduction=cfg.cbam_reduction, sam_kernel=3)
         else:
             self.attn = None
 

@@ -12,9 +12,12 @@ import pytest
 from drsinet import tensor as T
 from drsinet.blocks import ConvBnSilu
 from drsinet.layers import Conv2d, Layer
-from drsinet.network import ConfigError, Model, ModelConfig, Neck, build_model
-from drsinet.profiler import trace
+from drsinet.network import (CHANNEL_ROUND, ConfigError, Model, ModelConfig, Neck,
+                             build_model)
+from drsinet.profiler import profile, trace
 from drsinet.tensor import ShapeError, grad_check, tensor
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def mini_config(**overrides):
@@ -58,7 +61,7 @@ class TestModelConfig:
         cfg = ModelConfig(variant="custom", width_mult=0.3, depth_mult=0.33,
                           order_n=3)
         for c in cfg.stage_channels():
-            assert c % cfg.channel_round == 0
+            assert c % CHANNEL_ROUND == 0
             assert c % (1 << (cfg.order_n - 1)) == 0
 
     def test_unknown_key_rejected(self):
@@ -93,13 +96,25 @@ class TestModelConfig:
             built.append(type(self))
             init(self)
         monkeypatch.setattr(Layer, "__init__", counting_init)
-        cfg = ModelConfig.from_file(Path(__file__).parents[1] / "configs" / "mini.json")
+        cfg = ModelConfig.from_file(CONFIGS / "mini.json")
         assert built == []
         build_model(cfg, seed=0)
         assert built.count(Model) == 1
 
     def test_head_channels(self):
         assert ModelConfig(variant="s").head_channels() == 171
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_shipped_config_loads_and_round_trips(self, name):
+        cfg = ModelConfig.from_file(CONFIGS / name)
+        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("variant", ["s", "m", "l"])
+    def test_shipped_variant_is_its_preset(self, variant):
+        report = profile(ModelConfig.from_file(CONFIGS / f"drsinet-{variant}.json"), 640)
+        preset = profile(ModelConfig(variant=variant), 640)
+        assert (report.total_params, report.total_macs) == (
+            preset.total_params, preset.total_macs)
 
 
 class TestBuildDeterminism:
