@@ -140,24 +140,29 @@ class KeypointSigmas:
 # decode / encode
 # ---------------------------------------------------------------------------
 
-def decode(head, stride, anchors, conf_threshold, num_keypoints=17):
+def decode(head, stride, anchors, conf_threshold):
     """Decode one head tensor (batch 1) into the :class:`Detections` whose
     score ``objectness * class_score`` reaches the threshold, ordered by
     (anchor, row, column).
 
-    A candidate whose width or height logit is so negative (below about
-    -373.5) that ``(2 sig)^2`` underflows to 0 is dropped: a box with a zero
-    side has no IoU and no OKS scale.
+    K comes from the head's ``A * (6 + 3K)`` channels.  A threshold outside
+    [0, 1] and a head holding NaN or inf are refused.  A candidate whose
+    width or height logit is so negative (below about -373.5) that
+    ``(2 sig)^2`` underflows to 0 is dropped: a box with a zero side has no
+    IoU and no OKS scale.
     """
+    # NaN fails both range tests
+    if not 0.0 <= conf_threshold <= 1.0:
+        raise DomainError(f"conf_threshold must be in [0, 1], got {conf_threshold}")
     data = head.numpy() if hasattr(head, "numpy") else np.asarray(head)
     if data.ndim != 4 or data.shape[0] != 1:
         raise ShapeError(f"head must be (1, c, h, w), got {data.shape}")
-    fields = 5 + 1 + 3 * num_keypoints
-    n_anchor = len(anchors)
-    if data.shape[1] != n_anchor * fields:
-        raise ShapeError(
-            f"head has {data.shape[1]} channels, expected {n_anchor * fields}")
-    _, _, h, w = data.shape
+    n_anchor, (_, c, h, w) = len(anchors), data.shape
+    fields = c // max(n_anchor, 1)
+    if not n_anchor or n_anchor * fields != c or fields < 9 or fields % 3:
+        raise ShapeError(f"head has {c} channels, not {n_anchor} anchors of 6 + 3K, K >= 1")
+    if not np.isfinite(data).all():
+        raise DomainError(f"non-finite values in the heads at stride {stride}")
     t = data.reshape(n_anchor, fields, h, w)
     s = float(stride)
 

@@ -2,8 +2,8 @@
 and the conv + BN + SiLU unit the blocks and interactions share.
 
 A ``Layer`` owns :class:`~drsinet.tensor.Parameter` objects and child layers;
-attribute assignment registers them, and parameter names are the dotted
-attribute paths (``backbone.stage1.c3dr.blocks.0.invbn.c1.weight``).  Weights
+attribute assignment registers them, and a walk from the root names them
+by dotted path (``backbone.stage1.c3dr.blocks.0.invbn.c1.weight``).  Weights
 are materialized from a splitmix64 stream keyed by ``(seed, name)``, so two
 builds with the same seed are bit-identical regardless of construction order.
 """
@@ -23,12 +23,13 @@ class Layer:
 
     Calling a layer runs :meth:`forward`.  While a ``tensor.mac_counter`` is
     active, the call also opens a counter scope named by the layer's dotted
-    path and records the shape it returns.
+    path (its type name if no walk named it) and records its output shape.
     """
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_children", {})
+        self._path = None           # written by name_tree
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -49,14 +50,19 @@ class Layer:
             for name, p in layer._params.items():
                 yield _join(path, name), p
 
+    def name_tree(self):
+        """Write the dotted path of every layer below this root and every
+        parameter's name, yielding each parameter once it is named."""
+        for path, layer in self.named_layers():
+            layer._path = path
+            for name, p in layer._params.items():
+                p.name = _join(path, name)
+                yield p
+
     def finalize(self, seed):
-        """Materialize every parameter from the (seed, name)-keyed stream."""
-        names = set()
-        for name, p in self.named_parameters():
-            if name in names:
-                raise ValueError(f"duplicate parameter name {name!r}")
-            names.add(name)
-            p.materialize(seed, name)
+        """Name the tree, then materialize every parameter from (seed, name)."""
+        for p in self.name_tree():
+            p.materialize(seed)
         return self
 
     def forward(self, x):
@@ -66,10 +72,7 @@ class Layer:
         counter = T._MAC_COUNTER.get()
         if counter is None:
             return self.forward(x)
-        if not counter.scopes:
-            # a top-level call names its subtree the way named_parameters does
-            counter.layer_names = {id(layer): name for name, layer in self.named_layers()}
-        name = counter.layer_names.get(id(self), type(self).__name__)
+        name = type(self).__name__ if self._path is None else self._path
         counter.scopes.append(name)
         try:
             out = self.forward(x)

@@ -384,10 +384,10 @@ class Model(Layer):
             Conv2d(c, cfg.head_channels(), 1)
             for c in self.backbone.out_channels])
         # the layer tree holds only shapes until it is materialized
-        for name, p in self.named_parameters():
+        for p in self.name_tree():
             if 4 * p.count() > MAX_PARAM_BYTES:
                 raise ConfigError(
-                    f"parameter {name} of shape {p.logical_shape} needs {4 * p.count()} "
+                    f"parameter {p.name} of shape {p.logical_shape} needs {4 * p.count()} "
                     f"bytes, more than the {MAX_PARAM_BYTES} a weight archive entry holds")
 
     def forward(self, x):

@@ -129,7 +129,7 @@ class Parameter:
             raise ShapeError("parameter rank must be 1..4")
         self.init = init
         self.trainable = trainable
-        self.name = None          # assigned when the owning tree is finalized
+        self.name = None          # written by the walk from its tree's root
         self._value = None
 
     @property
@@ -155,8 +155,7 @@ class Parameter:
                 f"parameter {self.name!r} expects {self.logical_shape}, got {arr.shape}")
         self._value = Tensor(arr.reshape(self.storage_shape))
 
-    def materialize(self, seed, name):
-        self.name = name
+    def materialize(self, seed):
         kind = self.init[0]
         if kind == "const":
             arr = np.full(self.storage_shape, self.init[1], dtype=np.float32)
@@ -165,7 +164,7 @@ class Parameter:
             # variance flat through the multiplicative interaction stack; the
             # relu-gain bound sqrt(6/fan_in) overflows float32 at full depth
             fan_in = self.init[1]
-            arr = _seeded_uniform(seed, name, self.storage_shape, float(np.sqrt(3.0 / fan_in)))
+            arr = _seeded_uniform(seed, self.name, self.storage_shape, float(np.sqrt(3.0 / fan_in)))
         else:
             raise ValueError(f"unknown init kind {kind!r}")
         self._value = Tensor(arr, copy=False)
@@ -325,10 +324,10 @@ class mac_counter(_Active):
     Counts are per image: each operation charges the MACs of one image of the
     shape it actually produced, by the README convention, so a batch-0
     forward counts what one image costs without computing anything.  Every
-    layer called inside the context opens a scope named by its dotted path
-    (the path ``named_parameters`` uses).  A charge adds to ``macs`` and to
-    the innermost open scope in ``scope_macs``; ``outputs`` keeps each
-    layer's first output shape, in the order the layers first return.
+    layer called inside the context opens a scope named by the dotted path
+    ``Layer.name_tree`` wrote.  A charge adds to ``macs`` and to the
+    innermost open scope in ``scope_macs``; ``outputs`` keeps each layer's
+    first output shape, in the order the layers first return.
     """
 
     _slot = _MAC_COUNTER
@@ -339,7 +338,6 @@ class mac_counter(_Active):
         self.scope_macs = {}    # dotted layer name -> MACs of ops run directly in it
         self.outputs = {}       # dotted layer name -> output shape(s), by first return
         self.scopes = []        # names of the layers being called, innermost last
-        self.layer_names = {}   # id(layer) -> dotted name under the top-level call
 
     def _charge(self, macs):
         self.macs += macs

@@ -460,6 +460,34 @@ class TestDecode:
         np.testing.assert_array_equal(dets.scores, want.scores)
         np.testing.assert_array_equal(dets.keypoints, want.keypoints)
 
+    def test_keypoint_count_read_from_channels(self):
+        logits = encode((12.0, 12.0, 19.0, 27.0), np.full((5, 3), [12.0, 12.0, 0.7]),
+                        8, ANCHORS[0], (1, 1))
+        head = single_target_head(logits, 0, (1, 1), 3, num_keypoints=5)
+        assert head.shape[1] == 3 * (6 + 3 * 5) == 63
+        dets = decode(head, 8, ANCHORS, 0.5)
+        assert dets.keypoints.shape == (1, 5, 3)
+        np.testing.assert_allclose(dets.keypoints[0, :, :2], 12.0, atol=1e-9)
+
+    @pytest.mark.parametrize("channels, anchors", [
+        (170, ANCHORS), (3 * 6, ANCHORS), (3 * 8, ANCHORS), (0, ANCHORS), (57, ())])
+    def test_channels_not_a_keypoint_layout(self, channels, anchors):
+        with pytest.raises(ShapeError):
+            decode(np.zeros((1, channels, 2, 2)), 8, anchors, 0.25)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_head_refused(self, value):
+        head = np.zeros((1, 3 * 57, 4, 4), np.float32)
+        head[0, 100, 2, 3] = value
+        with pytest.raises(DomainError) as info:
+            decode(head, 16, ANCHORS, 0.25)
+        assert str(info.value) == "non-finite values in the heads at stride 16"
+
+    @pytest.mark.parametrize("conf", [1.5, -0.5])
+    def test_threshold_outside_unit_interval_refused(self, conf):
+        with pytest.raises(DomainError, match="conf_threshold must be in"):
+            decode(np.zeros((1, 3 * 57, 8, 8), np.float32), 8, ANCHORS, conf)
+
     def test_encode_rejects_out_of_range(self):
         kps = np.full((17, 3), 0.5)
         with pytest.raises(DomainError):

@@ -8,6 +8,10 @@ It runs through ``cli.main`` with every warning an error, and must end in
 exit 0, 1 or 2 with at most one stderr line, no traceback and no
 ``MemoryError``; a run that exits 0 must write strict JSON (no NaN or
 Infinity) or print AP/AR values in [0, 1].
+
+The library rows feed the same numbers to ``decode`` and ``nms`` directly:
+a threshold outside its range and a head holding NaN or inf each raise
+``DomainError``; they never return a result.
 """
 
 import contextlib
@@ -22,8 +26,10 @@ import numpy as np
 import pytest
 
 from drsinet import cli
+from drsinet.decode import Detections, decode, nms
 from drsinet.network import ModelConfig, build_model
 from drsinet.profiler import save_weights
+from drsinet.tensor import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
 TARGETS = ("config", "archive", "image", "results", "ground truth")
@@ -179,3 +185,44 @@ def test_mutants_fail_closed(target, tmp_path):
             if fault:
                 faults.append(f"mutant {n} ({what}), {argv[0]}: {fault}")
     assert not faults, "\n".join(faults)
+
+
+# the mini config's finest-level anchors; a head of 3 * (6 + 3 * 17) channels
+ANCHORS = ((19.0, 27.0), (44.0, 40.0), (38.0, 94.0))
+
+
+def _head(fill=0.0):
+    return np.full((1, 3 * 57, 8, 8), fill, np.float32)
+
+
+@pytest.mark.parametrize("value", NUMBERS)
+def test_decode_threshold_fails_closed(value):
+    """A threshold outside [0, 1] is refused; 1e-320 lies inside, and every
+    candidate at or above it comes back."""
+    if 0.0 <= value <= 1.0:
+        assert len(decode(_head(), 8, ANCHORS, value)) == 3 * 8 * 8
+        return
+    with pytest.raises(DomainError):
+        decode(_head(), 8, ANCHORS, value)
+
+
+@pytest.mark.parametrize("value", FLOAT32S[:3])
+def test_decode_non_finite_head_fails_closed(value):
+    head = _head()
+    rng = np.random.default_rng(0)
+    head.flat[int(rng.integers(head.size))] = value
+    with pytest.raises(DomainError):
+        decode(head, 8, ANCHORS, 0.25)
+
+
+@pytest.mark.parametrize("value", NUMBERS)
+def test_nms_iou_fails_closed(value):
+    """An IoU threshold outside (0, 1) is refused; 1e-320 lies inside, and
+    of two overlapping boxes only the better one stays."""
+    dets = Detections([[10.0, 10.0, 4.0, 4.0], [11.0, 10.0, 4.0, 4.0]], [0.9, 0.8],
+                      np.zeros((2, 17, 3)))
+    if 0.0 < value < 1.0:
+        assert nms(dets, value).scores.tolist() == [0.9]
+        return
+    with pytest.raises(DomainError):
+        nms(dets, value)

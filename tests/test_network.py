@@ -101,6 +101,28 @@ class TestModelConfig:
         build_model(cfg, seed=0)
         assert built.count(Model) == 1
 
+    def test_build_walks_the_tree_twice(self, monkeypatch):
+        """``Model(cfg)`` names its tree in the walk that bounds its archive
+        entries; ``finalize`` walks it once more to seed the weights."""
+        walks = []
+        named_layers = Layer.named_layers
+
+        def counting(self, prefix=""):
+            if isinstance(self, Model):
+                walks.append(prefix)
+            return named_layers(self, prefix)
+        monkeypatch.setattr(Layer, "named_layers", counting)
+        model = Model(mini_config())
+        assert walks == [""]
+        model.finalize(0)
+        assert walks == ["", ""]
+
+    def test_unloaded_model_names_its_parameter(self):
+        model = Model(ModelConfig.from_file(CONFIGS / "mini.json"))
+        with pytest.raises(RuntimeError) as info:
+            model(tensor(np.zeros((1, 3, 64, 64), np.float32)))
+        assert str(info.value) == "parameter 'backbone.focus.conv.conv.weight' not materialized"
+
     def test_head_channels(self):
         assert ModelConfig(variant="s").head_channels() == 171
 

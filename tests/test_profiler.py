@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from drsinet import tensor as T
+from drsinet.blocks import C3dr
+from drsinet.layers import Conv2d
 from drsinet.network import ModelConfig, Model, build_model
 from drsinet.profiler import (
     ArchiveError, largest_param_layers, load_weights, profile, read_archive,
@@ -82,6 +84,28 @@ class TestProfile:
         assert owners <= set(mc.outputs)
         assert sum(mc.scope_macs.values()) == mc.macs
         assert not mc.scopes
+
+    def test_counter_names_standalone_layer_relative_to_it(self):
+        mod = C3dr(8, 16, depth=1).finalize(14)
+        with T.mac_counter() as mc:
+            mod(tensor(np.zeros((1, 8, 8, 8), np.float32)))
+        # paths from the layer the walk started at, in the order layers return
+        block = [f"blocks.0.{n}" for n in (
+            "invbn.bn1", "invbn.c1", "invbn.bn2", "invbn.dw", "invbn.bn3", "invbn.c2",
+            "invbn", "ln", "rgc.phi_in", "rgc.dw", "rgc.g_k.0.conv", "rgc.g_k.0.bn",
+            "rgc.g_k.0", "rgc.phi_out", "rgc")]
+        assert list(mc.outputs) == (
+            ["conv_cross.conv", "conv_cross.bn", "conv_cross"] + block + ["blocks.0"]
+            + ["conv_main.conv", "conv_main.bn", "conv_main",
+               "conv_final.conv", "conv_final.bn", "conv_final", ""])
+
+    def test_counter_names_unwalked_layer_by_type(self):
+        conv = Conv2d(2, 3, 1)
+        conv.weight.set(np.ones((3, 2, 1, 1), np.float32))
+        conv.bias.set(np.zeros(3, np.float32))
+        with T.mac_counter() as mc:
+            conv(tensor(np.ones((1, 2, 4, 4), np.float32)))
+        assert mc.scope_macs == {"Conv2d": 3 * 2 * 16}
 
     def test_no_seeded_init_and_no_warnings(self, monkeypatch):
         def fail(*args):

@@ -681,8 +681,9 @@ class TestBackward:
             tape.backward(tensor(np.ones((1, 1, 2, 3), np.float32)))
 
     def test_parameter_grad_populated(self, rng):
-        p = T.Parameter((2, 2, 1, 1), init=("const", 0.0))
-        p.materialize(0, "w")
+        # finalize names the weight through the walk, then seeds it
+        p = Conv2d(2, 2, 1, bias=False).finalize(0).weight
+        assert p.name == "weight"
         p.set(rng.normal(size=(2, 2, 1, 1)).astype(np.float32))
         x = rand_t(rng, (1, 2, 3, 3))
         with Tape() as tape:
