@@ -157,60 +157,102 @@ def save_weights(model, path):
             fh.write(np.ascontiguousarray(p.value.numpy(), dtype="<f4").data)
 
 
-def _read_exact(fh, n, what, size):
-    """Read ``n`` bytes of a file of ``size`` bytes; a header that claims more
-    than the file holds fails before anything is allocated."""
-    if n > size - fh.tell():
+def _claim(fh, n, what, size):
+    """Fail unless ``n`` more bytes remain in a file of ``size`` bytes, so a
+    header that claims more than the file holds fails before anything is
+    allocated."""
+    left = size - fh.tell()
+    if n > left:
         raise ArchiveError(f"truncated archive while reading {what}: "
-                           f"{n} bytes claimed, {size - fh.tell()} left")
+                           f"{n} bytes claimed, {left} left")
+
+
+def _read_exact(fh, n, what, size):
+    _claim(fh, n, what, size)
     buf = fh.read(n)
     if len(buf) != n:
         raise ArchiveError(f"truncated archive while reading {what}")
     return buf
 
 
+def _read_index(fh):
+    """Header pass: check every entry header and seek past its payload.
+
+    Returns an ordered ``{name: (dims, payload offset)}``; no payload is read.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    magic = _read_exact(fh, 4, "magic", size)
+    if magic != ARCHIVE_MAGIC:
+        raise ArchiveError(f"bad magic {magic!r}, expected {ARCHIVE_MAGIC!r}")
+    version, count = struct.unpack("<II", _read_exact(fh, 8, "header", size))
+    if version != ARCHIVE_VERSION:
+        raise ArchiveError(f"unsupported archive version {version}")
+    index = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length", size))
+        name = _read_exact(fh, name_len, "name", size).decode("utf-8")
+        dtype_tag, rank = struct.unpack("<BB", _read_exact(fh, 2, "entry header", size))
+        if dtype_tag != 0:
+            raise ArchiveError(f"unknown dtype tag {dtype_tag} for {name!r}")
+        if not 1 <= rank <= 4:
+            raise ArchiveError(f"bad rank {rank} for {name!r}")
+        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims", size))
+        nbytes = 4 * math.prod(dims)
+        _claim(fh, nbytes, f"payload of {name!r}", size)
+        if name in index:
+            raise ArchiveError(f"duplicate entry {name!r}")
+        index[name] = (dims, fh.tell())
+        fh.seek(nbytes, os.SEEK_CUR)
+    return index
+
+
+def _read_payload(fh, name, dims, offset):
+    """Payload pass: one entry into a fresh read-only array, which
+    ``Parameter.set`` keeps without a copy."""
+    arr = np.empty(dims, dtype="<f4")
+    fh.seek(offset)
+    if fh.readinto(arr) != arr.nbytes:
+        # the header pass saw the whole payload, so the file changed since
+        raise ArchiveError(f"truncated archive while reading payload of {name!r}")
+    arr.flags.writeable = False
+    return arr
+
+
 def read_archive(path):
-    """Parse an archive into an ordered {name: array} mapping."""
-    out = {}
+    """Parse an archive into an ordered {name: read-only array} mapping."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = _read_exact(fh, 4, "magic", size)
-        if magic != ARCHIVE_MAGIC:
-            raise ArchiveError(f"bad magic {magic!r}, expected {ARCHIVE_MAGIC!r}")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, "header", size))
-        if version != ARCHIVE_VERSION:
-            raise ArchiveError(f"unsupported archive version {version}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length", size))
-            name = _read_exact(fh, name_len, "name", size).decode("utf-8")
-            dtype_tag, rank = struct.unpack("<BB", _read_exact(fh, 2, "entry header", size))
-            if dtype_tag != 0:
-                raise ArchiveError(f"unknown dtype tag {dtype_tag} for {name!r}")
-            if not 1 <= rank <= 4:
-                raise ArchiveError(f"bad rank {rank} for {name!r}")
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims", size))
-            count_elems = math.prod(dims)
-            payload = _read_exact(fh, 4 * count_elems, f"payload of {name!r}", size)
-            if name in out:
-                raise ArchiveError(f"duplicate entry {name!r}")
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    return out
+        return {name: _read_payload(fh, name, dims, offset)
+                for name, (dims, offset) in _read_index(fh).items()}
 
 
 def load_weights(model, path):
-    """Load an archive; entry names must match the model set exactly."""
-    entries = read_archive(path)
+    """Load an archive whose entry names match the model's set exactly.
+
+    The header pass checks every entry header, the name set and every shape
+    before any parameter changes, so an archive that fails them leaves the
+    model as it was.  The payload pass reads one entry at a time and sets its
+    parameter at once, so the load holds the model plus one entry.  A read
+    that fails there (the file changed since the header pass) leaves every
+    parameter unset, never a mix of old and new weights.
+    """
     params = dict(model.named_parameters())
-    missing = sorted(set(params) - set(entries))
-    extra = sorted(set(entries) - set(params))
-    if missing or extra:
-        raise ArchiveError(
-            f"archive does not match model: missing={missing}, extra={extra}")
-    for name, arr in entries.items():
-        p = params[name]
-        if tuple(arr.shape) != p.logical_shape:
+    with open(path, "rb") as fh:
+        index = _read_index(fh)
+        missing = sorted(set(params) - set(index))
+        extra = sorted(set(index) - set(params))
+        if missing or extra:
             raise ArchiveError(
-                f"shape mismatch for {name!r}: archive {arr.shape}, "
-                f"model {p.logical_shape}")
-        p.set(np.asarray(arr, dtype=np.float32))
+                f"archive does not match model: missing={missing}, extra={extra}")
+        for name, (dims, _) in index.items():
+            if dims != params[name].logical_shape:
+                raise ArchiveError(
+                    f"shape mismatch for {name!r}: archive {dims}, "
+                    f"model {params[name].logical_shape}")
+        try:
+            for name, (dims, offset) in index.items():
+                params[name].set(_read_payload(fh, name, dims, offset))
+        except BaseException:
+            for p in params.values():
+                p.clear()
+            raise
     return model

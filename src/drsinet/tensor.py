@@ -155,7 +155,14 @@ class Parameter:
                 f"parameter {self.name!r} expects {self.logical_shape}, got {arr.shape}")
         self._value = Tensor(arr.reshape(self.storage_shape))
 
+    def clear(self):
+        """Drop the value; reading it raises until it is set again."""
+        self._value = None
+
     def materialize(self, seed):
+        if self.name is None:
+            raise RuntimeError("parameter has no name to key its seeded init; "
+                               "walk its tree from the root first")
         kind = self.init[0]
         if kind == "const":
             arr = np.full(self.storage_shape, self.init[1], dtype=np.float32)

@@ -123,6 +123,12 @@ class TestModelConfig:
             model(tensor(np.zeros((1, 3, 64, 64), np.float32)))
         assert str(info.value) == "parameter 'backbone.focus.conv.conv.weight' not materialized"
 
+    @pytest.mark.parametrize("init", [("kaiming", 2), ("const", 0.0)])
+    def test_unnamed_parameter_refuses_materialize(self, init):
+        """The seeded init is keyed by the name that a root walk writes."""
+        with pytest.raises(RuntimeError, match="^parameter has no name to key its seeded init"):
+            T.Parameter((2, 2, 1, 1), init=init).materialize(0)
+
     def test_head_channels(self):
         assert ModelConfig(variant="s").head_channels() == 171
 

@@ -1,13 +1,19 @@
 """Profiler: the batch-0 profile against golden figures and a real forward,
 scaling laws, and the binary weight archive."""
 
+import gc
 import json
+import math
+import os
+import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drsinet import profiler as P
 from drsinet import tensor as T
 from drsinet.blocks import C3dr
 from drsinet.layers import Conv2d
@@ -257,6 +263,17 @@ class TestWeightArchive:
         save_weights(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_read_archive_read_only_in_file_order(self, tmp_path):
+        model = build_model(mini_config(), seed=1)
+        path = tmp_path / "w.drsi"
+        save_weights(model, path)
+        entries = read_archive(path)
+        params = list(model.named_parameters())
+        assert list(entries) == [name for name, _ in params]
+        for (name, p), arr in zip(params, entries.values()):
+            assert not arr.flags.writeable and arr.shape == p.logical_shape
+            assert arr.tobytes() == p.value.numpy().tobytes(), name
+
     def test_f32_payload_little_endian(self, tmp_path):
         model = build_model(mini_config(), seed=2)
         name, param = next(iter(model.named_parameters()))
@@ -321,3 +338,118 @@ class TestWeightArchive:
         save_weights(other, path)
         with pytest.raises(ArchiveError, match="missing=.*extra="):
             load_weights(small, path)
+
+
+def _entries(model):
+    """(name, dtype tag, rank, dims, payload) per parameter, in walk order."""
+    return [(name, 0, len(p.logical_shape), p.logical_shape,
+             p.value.numpy().astype("<f4").tobytes())
+            for name, p in model.named_parameters()]
+
+
+def _write_archive(path, entries, magic=b"DRSI", version=1):
+    """The archive layout written field by field, so a test can break one."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<II", version, len(entries)))
+        for name, tag, rank, dims, payload in entries:
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)) + raw + struct.pack("<BB", tag, rank))
+            fh.write(struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+def _with_last(entries, **fields):
+    name, tag, rank, dims, payload = entries[-1]
+    last = dict(name=name, tag=tag, rank=rank, dims=dims, payload=payload)
+    last.update(fields)
+    return entries[:-1] + [tuple(last.values())]
+
+
+def _snapshot(model):
+    return {name: p.value.numpy().tobytes() for name, p in model.named_parameters()}
+
+
+class TestLoadFailsClosed:
+    """Every check runs in the header pass, before any parameter changes; each
+    fault sits in the archive's last entry where it has one, so every other
+    entry would already be loaded by a reader that sets as it goes."""
+
+    def _faults(self, entries):
+        name, _, rank, dims, payload = entries[-1]
+        wider = (dims[0] + 1,) + dims[1:]
+        grown = payload + bytes(4 * math.prod(dims[1:]))
+        return {
+            "renamed": (_with_last(entries, name=name + "X"), {}, "missing=.*extra="),
+            "missing": (entries[:-1], {}, r"missing=\[.*\], extra=\[\]"),
+            "extra": (entries + [("extra.weight", 0, 1, (2,), bytes(8))], {},
+                      r"missing=\[\], extra=\['extra.weight'\]"),
+            "wrong shape": (_with_last(entries, dims=wider, payload=grown), {},
+                            "shape mismatch"),
+            "duplicate": (entries + entries[-1:], {}, "duplicate entry"),
+            "bad magic": (entries, {"magic": b"NOPE"}, "bad magic"),
+            "bad version": (entries, {"version": 2}, "unsupported archive version"),
+            "bad tag": (_with_last(entries, tag=1), {}, "unknown dtype tag"),
+            "bad rank": (_with_last(entries, rank=5), {}, "bad rank"),
+            "truncated payload": (_with_last(entries, payload=payload[:-4]), {},
+                                  "truncated archive while reading payload"),
+        }
+
+    def test_header_pass_faults_leave_every_parameter(self, tmp_path):
+        entries = _entries(build_model(mini_config(), seed=0))
+        model = build_model(mini_config(), seed=1)
+        before = _snapshot(model)
+        path = tmp_path / "w.drsi"
+        for fault, (broken, header, message) in self._faults(entries).items():
+            _write_archive(path, broken, **header)
+            with pytest.raises(ArchiveError, match=message):
+                load_weights(model, path)
+            assert _snapshot(model) == before, fault
+
+    def test_payload_pass_short_read_leaves_no_parameter(self, tmp_path, monkeypatch):
+        """A payload the header pass saw whole can only read short if the file
+        shrank between the passes: the model is left with no parameter set,
+        so a forward refuses to run on a mix of old and new weights."""
+        model = build_model(mini_config(), seed=1)
+        path = tmp_path / "w.drsi"
+        save_weights(build_model(mini_config(), seed=0), path)
+        read_index = P._read_index
+
+        def then_shrink(fh):
+            index = read_index(fh)
+            os.truncate(path, path.stat().st_size - 4)
+            return index
+        monkeypatch.setattr(P, "_read_index", then_shrink)
+        last = list(dict(model.named_parameters()))[-1]
+        with pytest.raises(ArchiveError, match=f"truncated archive while reading payload of '{last}'"):
+            load_weights(model, path)
+        for name, p in model.named_parameters():
+            with pytest.raises(RuntimeError, match="not materialized"):
+                p.value
+        with pytest.raises(RuntimeError, match="not materialized"):
+            model(tensor(np.zeros((1, 3, 64, 64), np.float32)))
+
+
+def test_load_holds_the_model_plus_one_entry(tmp_path):
+    """Loading a seed-0 archive into a built seed-1 drsinet-s peaks at most
+    the largest payload (backbone.down5.conv.weight, 6.75 MB) plus 1 MB of
+    traced allocations above the pre-load level: each entry is read into a
+    fresh array that its parameter keeps, and the value it replaces is freed
+    before the next entry is read.  Reading the whole archive before setting
+    any parameter peaked at +52.8 MB."""
+    cfg = ModelConfig(variant="s")
+    path = tmp_path / "w.drsi"
+    save_weights(build_model(cfg, seed=0), path)
+    gc.collect()
+    # started before the build, so the freed old values count as freed
+    tracemalloc.start()
+    try:
+        model = build_model(cfg, seed=1)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        load_weights(model, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    sizes = {name: 4 * p.count() for name, p in model.named_parameters()}
+    largest = max(sizes.values())
+    assert sizes["backbone.down5.conv.weight"] == largest == 7_077_888
+    assert peak <= largest + 2**20, peak
